@@ -132,10 +132,15 @@ int CmdIndex(int argc, char** argv) {
   return 0;
 }
 
-/// Opens whichever layout exists at the prefix (paged preferred).
+/// Opens whichever layout exists at the prefix. A prefix with a paged
+/// layout (`<prefix>.pmeta`) opens paged, and its errors -- a Corruption
+/// included -- are reported as they are; only a prefix without one falls
+/// back to the in-memory layout.
 walrus::Result<walrus::WalrusIndex> OpenAny(const std::string& prefix) {
-  auto paged = walrus::WalrusIndex::OpenPaged(prefix);
-  if (paged.ok()) return paged;
+  struct stat st;
+  if (::stat((prefix + ".pmeta").c_str(), &st) == 0) {
+    return walrus::WalrusIndex::OpenPaged(prefix);
+  }
   return walrus::WalrusIndex::Open(prefix);
 }
 

@@ -45,6 +45,18 @@ struct BirchResult {
 BirchResult BirchPreCluster(const float* points, int n, int dim,
                             const BirchParams& params);
 
+/// BIRCH's final assignment pass: for each of the `n` points, the index of
+/// the centroid at the smallest squared L2 distance (accumulated in double,
+/// ascending dimension), ties to the lowest index; 0 when no distance is
+/// below infinity (the brute-force rule: first strict minimum in index
+/// order). Sub-quadratic but exact: with the previous point's centroid as
+/// the bound, only centroids whose coordinate-0 term alone does not exceed
+/// it are scored (every term is nonnegative and rounding is monotone, so a
+/// sum never falls below its first term; DESIGN.md section 17).
+std::vector<int> AssignNearestCentroids(
+    const float* points, int n, int dim,
+    const std::vector<std::vector<float>>& centroids);
+
 /// Convenience overload for a vector of points.
 BirchResult BirchPreCluster(const std::vector<std::vector<float>>& points,
                             const BirchParams& params);

@@ -105,12 +105,7 @@ CfTree::InsertOutcome CfTree::InsertIntoSubtree(Node* node,
   if (child_outcome.new_sibling != nullptr) {
     // Recompute the split child's CF and append the new sibling.
     CfVector left_cf(dim_);
-    Node* child = node->children[idx].get();
-    if (child->is_leaf) {
-      for (const CfVector& e : child->entries) left_cf.Merge(e);
-    } else {
-      for (const CfVector& e : child->entries) left_cf.Merge(e);
-    }
+    for (const CfVector& e : node->children[idx]->entries) left_cf.Merge(e);
     node->entries[idx] = std::move(left_cf);
     CfVector right_cf(dim_);
     for (const CfVector& e : child_outcome.new_sibling->entries) {

@@ -1,9 +1,10 @@
 #include "core/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
-
 #include <memory>
+#include <string>
 
 #include "common/metrics.h"
 #include "common/simd.h"
@@ -430,6 +431,31 @@ void RankMatches(std::vector<QueryMatch>* matches, int top_k) {
   }
 }
 
+Status ValidateQueryOptions(const QueryOptions& options) {
+  auto envelope = [](const char* name, double value) {
+    if (std::isfinite(value) && value >= 0.0) return Status::OK();
+    return Status::InvalidArgument(std::string("options: ") + name +
+                                   " must be finite and >= 0, got " +
+                                   std::to_string(value));
+  };
+  WALRUS_RETURN_IF_ERROR(envelope("epsilon", options.epsilon));
+  WALRUS_RETURN_IF_ERROR(envelope("refined_epsilon", options.refined_epsilon));
+  if (!std::isfinite(options.tau)) {
+    return Status::InvalidArgument("options: tau must be finite, got " +
+                                   std::to_string(options.tau));
+  }
+  if (options.knn_per_region < 0) {
+    return Status::InvalidArgument(
+        "options: knn_per_region must be >= 0, got " +
+        std::to_string(options.knn_per_region));
+  }
+  if (options.top_k < 0) {
+    return Status::InvalidArgument("options: top_k must be >= 0, got " +
+                                   std::to_string(options.top_k));
+  }
+  return Status::OK();
+}
+
 namespace {
 
 /// The matching pipeline behind every single-index query entry point:
@@ -441,6 +467,7 @@ Result<std::vector<QueryMatch>> RunMatchingPipeline(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
     double query_area, const QueryOptions& options, QueryStats* stats,
     QueryTrace* trace) {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const QueryPathMetrics& metrics = QueryPathMetrics::Get();
   const bool use_bbox =

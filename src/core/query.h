@@ -66,6 +66,14 @@ struct QueryOptions {
   bool signature_prefilter = true;
 };
 
+/// Checks the numeric knobs every query entry point and the wire decoder
+/// must refuse: epsilon, refined_epsilon and tau must be finite, the two
+/// envelopes >= 0, and knn_per_region and top_k >= 0 (0 = off / no limit).
+/// A NaN envelope would make the index probe and the exact test disagree
+/// (and the prefilter's integer threshold undefined), so it never reaches
+/// them. InvalidArgument names the first bad field.
+[[nodiscard]] Status ValidateQueryOptions(const QueryOptions& options);
+
 /// One ranked target image.
 struct QueryMatch {
   uint64_t image_id = 0;

@@ -97,7 +97,7 @@ std::vector<Region> ExtractRegionsFromWindows(
   for (int i = 0; i < set.Count(); ++i) {
     int c = assignments[i];
     const float* sig = set.SignatureAt(i);
-    boxes[c].ExpandToInclude(std::vector<float>(sig, sig + set.dim));
+    boxes[c].ExpandToInclude(sig, set.dim);
     const WindowPlacement& win = set.windows[i];
     bitmaps[c].MarkWindow(win.x, win.y, win.size, win.size, image_width,
                           image_height);

@@ -121,6 +121,7 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
     const std::vector<Region>& query_regions, double query_area,
     const QueryOptions& options, QueryStats* stats,
     QueryTrace* trace) const {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const ShardedMetrics& metrics = ShardedMetrics::Get();
   const int n = num_shards();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -32,8 +33,16 @@ uint32_t SignaturePruneThreshold(double eps2) {
   // Smallest integer whose lower bound delta^2 * lb_int strictly exceeds
   // eps2, nudged up by a relative margin so the bound stays conservative
   // against its own rounding. delta = 5 * 2^-8 keeps delta^2 exact.
+  // Saturates instead of casting out of range: a NaN or huge eps2 proves
+  // nothing, so the threshold becomes unreachable (prune nothing); a
+  // negative one is exceeded by every bound.
   const double scaled =
       eps2 * (1.0 + 1e-9) / (kSignatureDelta * kSignatureDelta);
+  constexpr uint32_t kNever = std::numeric_limits<uint32_t>::max();
+  if (std::isnan(scaled) || scaled >= static_cast<double>(kNever - 1)) {
+    return kNever;
+  }
+  if (scaled < 0.0) return 0;
   return static_cast<uint32_t>(std::floor(scaled)) + 1;
 }
 

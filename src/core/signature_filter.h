@@ -48,6 +48,8 @@ std::vector<uint64_t> ComputeSignature(const std::vector<float>& centroid);
 /// prune iff lb_int >= SignaturePruneThreshold(eps2). The tiny relative
 /// margin keeps the threshold conservative against the rounding of
 /// delta^2 * lb_int, so a prune decision never outruns the exact test.
+/// Saturates: UINT32_MAX (prune nothing) for NaN or huge eps2, 0 for
+/// negative eps2.
 uint32_t SignaturePruneThreshold(double eps2);
 
 /// Per-call counters of one filter pass (aggregated into QueryStats and the

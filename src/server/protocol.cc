@@ -188,6 +188,7 @@ Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader,
     options.signature_prefilter = prefilter != 0;
   }
   // Older peers do not transmit the v5 knobs; this side's defaults apply.
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   return options;
 }
 

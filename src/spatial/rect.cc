@@ -54,7 +54,22 @@ void Rect::ExpandToInclude(const Rect& other) {
 }
 
 void Rect::ExpandToInclude(const std::vector<float>& point) {
-  ExpandToInclude(Rect::Point(point));
+  ExpandToInclude(point.data(), static_cast<int>(point.size()));
+}
+
+void Rect::ExpandToInclude(const float* point, int n) {
+  if (n == 0) return;
+  if (empty_) {
+    lo_.assign(point, point + n);
+    hi_.assign(point, point + n);
+    empty_ = false;
+    return;
+  }
+  WALRUS_DCHECK_EQ(dim(), n);
+  for (int i = 0; i < n; ++i) {
+    lo_[i] = std::min(lo_[i], point[i]);
+    hi_[i] = std::max(hi_[i], point[i]);
+  }
 }
 
 Rect Rect::Expanded(float epsilon) const {

@@ -40,6 +40,10 @@ class Rect {
   void ExpandToInclude(const Rect& other);
   void ExpandToInclude(const std::vector<float>& point);
 
+  /// Pointer overload (`point` holds `n` floats): grows in place without a
+  /// temporary vector (region assembly calls this once per window).
+  void ExpandToInclude(const float* point, int n);
+
   /// Returns a copy grown by `epsilon` on every side (Minkowski expansion;
   /// this is how Definition 4.1's epsilon-envelope probe is executed).
   Rect Expanded(float epsilon) const;

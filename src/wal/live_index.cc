@@ -535,6 +535,7 @@ Status LiveIndex::Merge() {
 Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
     const std::vector<Region>& query_regions, double query_area,
     const QueryOptions& options, QueryStats* stats) const {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const LiveQueryMetrics& metrics = LiveQueryMetrics::Get();
   const int n = base_->num_shards();

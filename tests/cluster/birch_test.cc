@@ -1,10 +1,16 @@
 #include "cluster/birch.h"
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
+#include "core/params.h"
+#include "core/signature.h"
+#include "image/dataset.h"
 
 namespace walrus {
 namespace {
@@ -118,6 +124,178 @@ TEST(Birch, DeterministicResult) {
   BirchResult b = BirchPreCluster(points.data(), 100, 2, params);
   EXPECT_EQ(a.assignments, b.assignments);
   EXPECT_EQ(a.clusters.size(), b.clusters.size());
+}
+
+/// The reference assignment rule: a brute-force scan over every centroid in
+/// index order, squared L2 in double over ascending dimensions, first strict
+/// minimum wins. AssignNearestCentroids must reproduce it bit for bit.
+std::vector<int> BruteForceAssignments(
+    const float* points, int n, int dim,
+    const std::vector<std::vector<float>>& centroids) {
+  std::vector<int> assignments(n);
+  for (int i = 0; i < n; ++i) {
+    const float* p = points + static_cast<size_t>(i) * dim;
+    int best = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < centroids.size(); ++c) {
+      double dist = 0.0;
+      for (int k = 0; k < dim; ++k) {
+        double d = static_cast<double>(p[k]) - centroids[c][k];
+        dist += d * d;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = static_cast<int>(c);
+      }
+    }
+    assignments[i] = best;
+  }
+  return assignments;
+}
+
+/// Runs BIRCH and checks its assignments against the brute-force rule at
+/// every ISA level the CPU supports (the CF-tree pass dispatches kernels,
+/// so each level must also build the same centroids).
+void ExpectOracleAssignments(const std::vector<float>& points, int dim,
+                             const BirchParams& params) {
+  const int n = static_cast<int>(points.size()) / dim;
+  std::vector<int> first_level;
+  for (int l = 0; l <= static_cast<int>(simd::MaxSupportedIsa()); ++l) {
+    simd::TestOnlySetIsa(static_cast<simd::IsaLevel>(l));
+    BirchResult result = BirchPreCluster(points.data(), n, dim, params);
+    const std::string isa = simd::IsaName(static_cast<simd::IsaLevel>(l));
+    EXPECT_EQ(result.assignments,
+              BruteForceAssignments(points.data(), n, dim, result.centroids))
+        << "isa=" << isa;
+    if (l == 0) {
+      first_level = result.assignments;
+    } else {
+      EXPECT_EQ(result.assignments, first_level) << "isa=" << isa;
+    }
+  }
+  simd::TestOnlyResetIsa();
+}
+
+/// AssignNearestCentroids against the brute-force rule at every ISA level
+/// (it scores centroids with a dispatched batch kernel).
+void ExpectAssignMatchesOracle(
+    const std::vector<float>& points, int dim,
+    const std::vector<std::vector<float>>& centroids) {
+  const int n = static_cast<int>(points.size()) / dim;
+  const std::vector<int> want =
+      BruteForceAssignments(points.data(), n, dim, centroids);
+  for (int l = 0; l <= static_cast<int>(simd::MaxSupportedIsa()); ++l) {
+    simd::TestOnlySetIsa(static_cast<simd::IsaLevel>(l));
+    EXPECT_EQ(AssignNearestCentroids(points.data(), n, dim, centroids), want)
+        << "isa=" << simd::IsaName(static_cast<simd::IsaLevel>(l));
+  }
+  simd::TestOnlyResetIsa();
+}
+
+TEST(BirchAssignment, MatchesBruteForceOnRandomBlobs) {
+  for (uint64_t seed = 10; seed < 16; ++seed) {
+    Rng rng(seed);
+    const int dim = 2 + static_cast<int>(seed % 11);
+    std::vector<std::vector<float>> centers(20, std::vector<float>(dim));
+    for (auto& c : centers) {
+      for (float& v : c) v = rng.NextFloat();
+    }
+    std::vector<float> points;
+    for (int i = 0; i < 1500; ++i) {
+      for (float v : centers[i % centers.size()]) {
+        points.push_back(v + 0.2f * (rng.NextFloat() - 0.5f));
+      }
+    }
+    BirchParams params;
+    params.threshold = 0.04;
+    ExpectOracleAssignments(points, dim, params);
+  }
+}
+
+TEST(BirchAssignment, MatchesBruteForceUnderNodeBudgetRebuilds) {
+  Rng rng(17);
+  std::vector<float> points;
+  for (int i = 0; i < 3000 * 12; ++i) points.push_back(rng.NextFloat());
+  BirchParams params;
+  params.threshold = 0.01;
+  params.max_nodes = 24;
+  ExpectOracleAssignments(points, 12, params);
+}
+
+TEST(BirchAssignment, MatchesBruteForceOnSceneWindowSignatures) {
+  // The query-time workload: every sliding window of a 384x384 scene at
+  // slide step 4 (6561 windows, d = 12) against its 100-200 subclusters.
+  DatasetParams dataset;
+  dataset.width = 384;
+  dataset.height = 384;
+  Rng rng(2026);
+  LabeledImage scene =
+      GenerateScene(2, static_cast<ObjectClass>(2), dataset, &rng);
+  WalrusParams params;
+  params.slide_step = 4;
+  auto set = ComputeWindowSignatures(scene.image, params);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_EQ(set->Count(), 6561);
+  BirchParams birch;
+  birch.threshold = params.cluster_epsilon;
+  birch.branching = params.birch_branching;
+  birch.leaf_entries = params.birch_leaf_entries;
+  BirchResult result =
+      BirchPreCluster(set->signatures.data(), set->Count(), set->dim, birch);
+  EXPECT_GT(result.centroids.size(), 100u);
+  ExpectOracleAssignments(set->signatures, set->dim, birch);
+}
+
+TEST(BirchAssignment, TiesGoToTheLowestCentroidIndex) {
+  // Duplicated centroids (0 == 2, 1 == 3) and points equidistant from
+  // centroids on either side of them in coordinate 0 and in other
+  // coordinates.
+  const std::vector<std::vector<float>> centroids = {
+      {1.0f, 0.0f}, {0.0f, 0.0f}, {1.0f, 0.0f}, {0.0f, 0.0f},
+      {0.5f, 0.5f}, {0.5f, -0.5f}, {2.0f, 0.0f}};
+  const std::vector<float> points = {
+      0.5f, 0.0f,   // equidistant from 0..5
+      1.0f, 0.0f,   // on the duplicates 0 and 2
+      0.0f, 0.0f,   // on the duplicates 1 and 3
+      1.5f, 0.0f,   // between 0/2 and 6
+      0.5f, 0.25f,  // nearest 4
+      -3.0f, 0.0f,  // far left of every centroid
+      9.0f, 0.0f};  // far right of every centroid
+  const int n = static_cast<int>(points.size()) / 2;
+  EXPECT_EQ(BruteForceAssignments(points.data(), n, 2, centroids),
+            (std::vector<int>{0, 0, 1, 0, 4, 1, 6}));
+  ExpectAssignMatchesOracle(points, 2, centroids);
+}
+
+TEST(BirchAssignment, MatchesBruteForceOnDuplicateHeavyGrid) {
+  // Coarse integer grids make exact distance ties the common case.
+  Rng rng(31);
+  const int dim = 3;
+  std::vector<std::vector<float>> centroids(60, std::vector<float>(dim));
+  for (auto& c : centroids) {
+    for (float& v : c) v = static_cast<float>(rng.NextFloat() < 0.5f ? 0 : 2);
+  }
+  std::vector<float> points;
+  for (int i = 0; i < 400 * dim; ++i) {
+    points.push_back(static_cast<float>(static_cast<int>(rng.NextFloat() * 3)));
+  }
+  ExpectAssignMatchesOracle(points, dim, centroids);
+}
+
+TEST(BirchAssignment, MatchesBruteForceOnNonFiniteInputs) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> centroids = {
+      {nan, 0.0f}, {0.0f, nan}, {inf, 0.0f}, {1.0f, 1.0f}, {-inf, 0.0f},
+      {2.0f, 2.0f}};
+  const std::vector<float> points = {0.0f, 0.0f, nan, 0.0f, 0.0f, nan,
+                                     inf,  0.0f, -inf, 0.0f, 3.0f, 3.0f,
+                                     inf,  inf};
+  ExpectAssignMatchesOracle(points, 2, centroids);
+  // Only NaN centroids: nothing beats infinity, so index 0 as before.
+  const int n = static_cast<int>(points.size()) / 2;
+  EXPECT_EQ(AssignNearestCentroids(points.data(), n, 2, {{nan, nan}}),
+            std::vector<int>(n, 0));
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include "core/query.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "core/sharded_index.h"
 #include "image/synth.h"
 #include "image/transform.h"
 
@@ -172,6 +176,62 @@ TEST_F(QueryTest, BoundingBoxSignatureModeWorks) {
   ASSERT_FALSE(matches->empty());
   EXPECT_EQ((*matches)[0].image_id, 1u);
   EXPECT_NEAR((*matches)[0].similarity, 1.0, 1e-9);
+}
+
+TEST_F(QueryTest, NonFiniteOrNegativeOptionsAreRejected) {
+  // A NaN epsilon used to reach the probe: the exact test rejected every
+  // pair while the prefilter's integer threshold was undefined, so the same
+  // query ranked differently with the prefilter on and off. Every entry
+  // point now refuses it identically, whichever probe path is selected.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<QueryOptions> bad;
+  for (float eps : {nan, inf, -inf, -0.01f}) {
+    QueryOptions o;
+    o.epsilon = eps;
+    bad.push_back(o);
+    o = QueryOptions();
+    o.refined_epsilon = eps;
+    bad.push_back(o);
+  }
+  QueryOptions o;
+  o.tau = std::nan("");
+  bad.push_back(o);
+  o = QueryOptions();
+  o.top_k = -1;
+  bad.push_back(o);
+  o = QueryOptions();
+  o.knn_per_region = -3;
+  bad.push_back(o);
+
+  ShardedIndex::Options shard_options;
+  shard_options.num_shards = 2;
+  auto sharded = ShardedIndex::Partition(*index_, shard_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  const ImageF query = MakeSolid(64, 64, {0.9f, 0.1f, 0.1f});
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(ValidateQueryOptions(bad[i]).code(),
+              StatusCode::kInvalidArgument)
+        << i;
+    for (bool prefilter : {true, false}) {
+      QueryOptions options = bad[i];
+      options.signature_prefilter = prefilter;
+      auto single = ExecuteQuery(*index_, query, options);
+      EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument)
+          << i << " prefilter=" << prefilter;
+      auto regions = ExecuteQueryWithRegions(*index_, {}, 1.0, options);
+      EXPECT_EQ(regions.status().code(), StatusCode::kInvalidArgument) << i;
+      auto shards = sharded->RunQuery(query, options, nullptr);
+      EXPECT_EQ(shards.status().code(), StatusCode::kInvalidArgument) << i;
+    }
+  }
+  // The defaults and the documented "off" values stay valid.
+  QueryOptions off;
+  off.top_k = 0;
+  off.knn_per_region = 0;
+  off.epsilon = 0.0f;
+  EXPECT_TRUE(ValidateQueryOptions(off).ok());
+  EXPECT_TRUE(ExecuteQuery(*index_, query, off).ok());
 }
 
 TEST_F(QueryTest, QueryAgainstTranslatedObject) {

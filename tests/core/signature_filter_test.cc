@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +101,25 @@ TEST(SignatureAdmissibility, LowerBoundNeverExceedsTrueDistance) {
       ASSERT_LE(lb2, d2) << "dim=" << dim << " trial=" << trial;
     }
   }
+}
+
+// Out-of-range eps2 saturates instead of hitting an undefined double ->
+// uint32_t cast: NaN or huge prunes nothing, negative prunes everything.
+TEST(SignatureAdmissibility, PruneThresholdSaturates) {
+  constexpr uint32_t kNever = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(SignaturePruneThreshold(std::nan("")), kNever);
+  EXPECT_EQ(SignaturePruneThreshold(std::numeric_limits<double>::infinity()),
+            kNever);
+  EXPECT_EQ(SignaturePruneThreshold(1e300), kNever);
+  EXPECT_EQ(SignaturePruneThreshold(1280.0 * 1280.0), kNever);
+  EXPECT_EQ(SignaturePruneThreshold(-1.0), 0u);
+  EXPECT_EQ(SignaturePruneThreshold(-std::numeric_limits<double>::infinity()),
+            0u);
+  EXPECT_EQ(SignaturePruneThreshold(0.0), 1u);
+  // In range the formula is unchanged and monotone.
+  EXPECT_LT(SignaturePruneThreshold(0.085 * 0.085),
+            SignaturePruneThreshold(1.0));
+  EXPECT_LT(SignaturePruneThreshold(1000.0 * 1000.0), kNever);
 }
 
 // Integer-threshold consistency: crossing SignaturePruneThreshold(eps2)

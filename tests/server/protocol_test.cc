@@ -1,5 +1,7 @@
 #include "server/protocol.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
@@ -125,6 +127,31 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   EXPECT_EQ(decoded->collect_trace, options.collect_trace);
   EXPECT_EQ(decoded->batched_probe, options.batched_probe);
   EXPECT_EQ(decoded->signature_prefilter, options.signature_prefilter);
+}
+
+TEST(ProtocolTest, QueryOptionsDecodeRejectsInvalidValues) {
+  auto decode = [](const QueryOptions& options) {
+    BinaryWriter writer;
+    EncodeQueryOptions(options, &writer);
+    BinaryReader reader(writer.buffer());
+    return DecodeQueryOptions(&reader).status();
+  };
+  QueryOptions options;
+  options.epsilon = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(decode(options).code(), StatusCode::kInvalidArgument);
+  options = QueryOptions();
+  options.refined_epsilon = -std::numeric_limits<float>::infinity();
+  EXPECT_EQ(decode(options).code(), StatusCode::kInvalidArgument);
+  options = QueryOptions();
+  options.tau = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(decode(options).code(), StatusCode::kInvalidArgument);
+  options = QueryOptions();
+  options.top_k = -5;
+  EXPECT_EQ(decode(options).code(), StatusCode::kInvalidArgument);
+  options = QueryOptions();
+  options.knn_per_region = std::numeric_limits<int>::min();
+  EXPECT_EQ(decode(options).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(decode(QueryOptions()).ok());
 }
 
 TEST(ProtocolTest, QueryOptionsV4OmitsProbeKnobsAndDecodesToDefaults) {

@@ -1,5 +1,8 @@
 #include "spatial/rect.h"
 
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace walrus {
@@ -41,6 +44,30 @@ TEST(Rect, ExpandToIncludeGrowsMinimally) {
   EXPECT_FLOAT_EQ(r.hi(0), 2.0f);
   EXPECT_FLOAT_EQ(r.lo(1), -1.0f);
   EXPECT_FLOAT_EQ(r.hi(1), 0.0f);
+}
+
+TEST(Rect, PointerExpandMatchesRectExpand) {
+  // The pointer overload must grow exactly like expanding by a point rect,
+  // from empty and from a box, including NaN coordinates (std::min/max
+  // keep the current bound when the comparison is false).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> points = {
+      {0.5f, -1.0f, 2.0f}, {0.25f, 3.0f, 2.0f}, {nan, -2.0f, 1.0f},
+      {1.0f, nan, -4.0f}};
+  Rect by_rect = Rect::Empty(3);
+  Rect by_pointer = Rect::Empty(3);
+  for (const std::vector<float>& p : points) {
+    by_rect.ExpandToInclude(Rect::Point(p));
+    by_pointer.ExpandToInclude(p.data(), 3);
+    EXPECT_FALSE(by_pointer.IsEmpty());
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(std::memcmp(&by_rect.lo()[i], &by_pointer.lo()[i], 4), 0);
+      EXPECT_EQ(std::memcmp(&by_rect.hi()[i], &by_pointer.hi()[i], 4), 0);
+    }
+  }
+  Rect untouched = Rect::Empty(3);
+  untouched.ExpandToInclude(points[0].data(), 0);
+  EXPECT_TRUE(untouched.IsEmpty());
 }
 
 TEST(Rect, ExpandedEpsilonEnvelope) {

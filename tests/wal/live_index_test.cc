@@ -1,6 +1,7 @@
 #include "wal/live_index.h"
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,6 +119,27 @@ TEST_F(LiveIndexTest, StartsEmptyAndInsertsMatchOfflineBuild) {
   QueryOptions q;
   q.epsilon = 0.09f;
   ExpectMatchesOffline(**live, ids, q, "delta-only");
+}
+
+TEST_F(LiveIndexTest, InvalidQueryOptionsAreRejected) {
+  std::string dir = FreshDir("live_invalid_options");
+  LiveIndex::Options options;
+  options.merge_threshold = 0;
+  auto live = LiveIndex::Open(dir, TestParams(), options);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE((*live)->InsertImage(0, "img", dataset_[0].image).ok());
+  for (bool prefilter : {true, false}) {
+    QueryOptions q;
+    q.epsilon = std::numeric_limits<float>::quiet_NaN();
+    q.signature_prefilter = prefilter;
+    EXPECT_EQ((*live)->RunQuery(dataset_[0].image, q).status().code(),
+              StatusCode::kInvalidArgument);
+    q = QueryOptions();
+    q.top_k = -1;
+    EXPECT_EQ((*live)->RunQuery(dataset_[0].image, q).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE((*live)->RunQuery(dataset_[0].image, QueryOptions()).ok());
 }
 
 TEST_F(LiveIndexTest, SeededBasePlusInsertsAndDeletesMatchOffline) {
