@@ -20,6 +20,10 @@
 //                             (DESIGN.md section 16 acceptance numbers:
 //                             match-stage speedup and candidate reduction).
 //   BENCH_batched_probe.json  batched+SIMD vs scalar per-region probe A/B.
+//
+// Usage: bench_query_selectivity [prefilter|batched_probe]
+// With no argument both reports are written; naming one runs and writes
+// only that report, so regenerating one checked-in file leaves the other.
 
 #include <cstdio>
 #include <cstdlib>
@@ -79,42 +83,12 @@ struct StageTotals {
   }
 };
 
-}  // namespace
-
-int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_IMAGES", 1000);
-
-  walrus::DatasetParams dp;
-  dp.num_images = num_images;
-  dp.width = 128;
-  dp.height = 128;
-  dp.seed = 77;
-  std::vector<walrus::LabeledImage> dataset = walrus::GenerateDataset(dp);
-
-  walrus::WalrusParams wp;  // paper defaults: YCC, 64x64 windows, s=2
-  wp.slide_step = 8;
-  std::printf("# Table 1: query selectivity and response time\n");
-  std::printf(
-      "# database=%d images (%dx%d), cluster_eps=%.2f, window=%d, s=%d, "
-      "colorspace=YCC, centroid signatures, quick matcher\n",
-      num_images, dp.width, dp.height, wp.cluster_epsilon, wp.min_window,
-      wp.signature_size);
-
-  walrus::WalrusIndex index(wp);
-  walrus::WallTimer build_timer;
-  for (const walrus::LabeledImage& scene : dataset) {
-    walrus::Status status = index.AddImage(
-        static_cast<uint64_t>(scene.id), "img", scene.image);
-    if (!status.ok()) {
-      std::fprintf(stderr, "indexing failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-  }
-  std::printf("# indexing: %zu images, %zu regions, %.2fs total\n",
-              index.ImageCount(), index.RegionCount(),
-              build_timer.ElapsedSeconds());
-
+/// Table 1 rows plus the signature-prefilter on/off A/B, written to
+/// BENCH_prefilter.json. Returns nonzero when a query fails.
+int RunPrefilterReport(const walrus::WalrusIndex& index,
+                       const std::vector<walrus::LabeledImage>& dataset,
+                       const walrus::DatasetParams& dp, int num_queries,
+                       int repetitions) {
   walrus::bench::BenchReport prefilter_report("prefilter");
   prefilter_report.params()
       .Set("images", static_cast<int64_t>(index.ImageCount()))
@@ -170,8 +144,6 @@ int main() {
   // on materializes only the target regions the matcher reads.
   std::printf("\n# A/B: signature prefilter on vs off (epsilon=%.3f)\n",
               static_cast<double>(walrus::QueryOptions{}.epsilon));
-  const int num_queries = 8;
-  const int repetitions = EnvInt("WALRUS_BENCH_REPS", 15);
   prefilter_report.params()
       .Set("epsilon", static_cast<double>(walrus::QueryOptions{}.epsilon))
       .Set("queries", num_queries)
@@ -227,7 +199,14 @@ int main() {
   std::printf("# exact-verification candidate reduction: %.2fx\n",
               candidate_reduction);
   prefilter_report.WriteFile();
+  return 0;
+}
 
+/// Batched+SIMD vs scalar per-region probe A/B, written to
+/// BENCH_batched_probe.json. Returns nonzero when a query fails.
+int RunBatchedProbeReport(const walrus::WalrusIndex& index,
+                          const std::vector<walrus::LabeledImage>& dataset,
+                          int num_queries, int repetitions) {
   // A/B: probe-stage throughput of the vectorized batched multi-probe path
   // (native ISA + RangeQueryBatch) against the historical per-region scalar
   // path (WALRUS_SIMD=scalar semantics + one tree descent per query
@@ -305,5 +284,61 @@ int main() {
   std::printf("# probe-stage speedup (batched+SIMD over scalar): %.2fx\n",
               speedup);
   report.WriteFile();
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string only = argc > 1 ? argv[1] : "";
+  if (argc > 2 || (only != "" && only != "prefilter" &&
+                   only != "batched_probe")) {
+    std::fprintf(stderr,
+                 "usage: bench_query_selectivity [prefilter|batched_probe]\n");
+    return 2;
+  }
+  const int num_images = EnvInt("WALRUS_BENCH_IMAGES", 1000);
+
+  walrus::DatasetParams dp;
+  dp.num_images = num_images;
+  dp.width = 128;
+  dp.height = 128;
+  dp.seed = 77;
+  std::vector<walrus::LabeledImage> dataset = walrus::GenerateDataset(dp);
+
+  walrus::WalrusParams wp;  // paper defaults: YCC, 64x64 windows, s=2
+  wp.slide_step = 8;
+  std::printf("# Table 1: query selectivity and response time\n");
+  std::printf(
+      "# database=%d images (%dx%d), cluster_eps=%.2f, window=%d, s=%d, "
+      "colorspace=YCC, centroid signatures, quick matcher\n",
+      num_images, dp.width, dp.height, wp.cluster_epsilon, wp.min_window,
+      wp.signature_size);
+
+  walrus::WalrusIndex index(wp);
+  walrus::WallTimer build_timer;
+  for (const walrus::LabeledImage& scene : dataset) {
+    walrus::Status status = index.AddImage(
+        static_cast<uint64_t>(scene.id), "img", scene.image);
+    if (!status.ok()) {
+      std::fprintf(stderr, "indexing failed: %s\n",
+                   status.ToString().c_str());
+      return 1;
+    }
+  }
+  std::printf("# indexing: %zu images, %zu regions, %.2fs total\n",
+              index.ImageCount(), index.RegionCount(),
+              build_timer.ElapsedSeconds());
+
+  const int num_queries = 8;
+  const int repetitions = EnvInt("WALRUS_BENCH_REPS", 15);
+  if (only != "batched_probe" &&
+      RunPrefilterReport(index, dataset, dp, num_queries, repetitions) != 0) {
+    return 1;
+  }
+  if (only != "prefilter" &&
+      RunBatchedProbeReport(index, dataset, num_queries, repetitions) != 0) {
+    return 1;
+  }
   return 0;
 }

@@ -1,12 +1,20 @@
 // Micro-benchmarks for the wavelet substrate: 1-D/2-D Haar transforms,
 // Daubechies-4, and single-window DP combination. Supports the Figure 6
 // experiments by exposing the per-primitive costs.
+//
+// BM_WindowSignaturesScene is the whole signature stage at query scale:
+// ComputeWindowSignatures (YCC conversion, the per-channel DP sweep, the
+// normalized signature set) on one generated 384x384 scene at slide step
+// 4, for windows 64..64 (arg 64) and 16..64 (arg 16).
 
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
+#include "core/params.h"
+#include "core/signature.h"
+#include "image/dataset.h"
 #include "wavelet/daubechies.h"
 #include "wavelet/haar1d.h"
 #include "wavelet/haar2d.h"
@@ -101,6 +109,31 @@ void BM_SlidingWindowsNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlidingWindowsNaive)->Arg(8)->Arg(32)->Arg(64);
+
+void BM_WindowSignaturesScene(benchmark::State& state) {
+  DatasetParams dataset;
+  dataset.width = 384;
+  dataset.height = 384;
+  Rng rng(114);
+  const ImageF scene =
+      GenerateScene(14, static_cast<ObjectClass>(2), dataset, &rng).image;
+  WalrusParams params;
+  params.slide_step = 4;
+  params.min_window = static_cast<int>(state.range(0));
+  params.max_window = 64;
+  int64_t windows = 0;
+  for (auto _ : state) {
+    Result<WindowSignatureSet> set = ComputeWindowSignatures(scene, params);
+    windows = set->Count();
+    benchmark::DoNotOptimize(set->signatures.data());
+  }
+  state.counters["windows"] = static_cast<double>(windows);
+  state.SetItemsProcessed(state.iterations() * windows);
+}
+BENCHMARK(BM_WindowSignaturesScene)
+    ->Arg(64)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace walrus

@@ -3,7 +3,9 @@
 //
 //   walrus_cli generate <dir> <count> [size]     synthesize a dataset
 //   walrus_cli index <dir> <index_prefix> [paged]  index every *.ppm file
-//   walrus_cli info <index_prefix>               print index statistics
+//   walrus_cli info <index_prefix>               print index statistics and
+//                                                validate the index (exit 1
+//                                                on corruption)
 //   walrus_cli query <index_prefix> <image.ppm> [epsilon] [top_k] [greedy]
 //
 // With `paged`, the index is written as a disk-resident page tree
@@ -173,6 +175,14 @@ int CmdInfo(int argc, char** argv) {
                   : "bounding-box");
   std::printf("backend:       %s\n",
               index->is_paged() ? "paged (disk tree)" : "in-memory tree");
+  // Full consistency check; for a paged index this includes the checksum
+  // sweep over every tree page, which opening alone does not do.
+  walrus::Status valid = index->ValidateConsistency();
+  if (!valid.ok()) {
+    std::printf("validation:    %s\n", valid.ToString().c_str());
+    return 1;
+  }
+  std::printf("validation:    ok\n");
   return 0;
 }
 

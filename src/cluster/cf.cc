@@ -13,6 +13,15 @@ CfVector CfVector::FromPoint(const float* point, int dim) {
   return cf;
 }
 
+CfVector CfVector::FromSums(int64_t count, double square_sum,
+                            const double* linear_sum, int dim) {
+  CfVector cf;
+  cf.count_ = count;
+  cf.ss_ = square_sum;
+  cf.ls_.assign(linear_sum, linear_sum + dim);
+  return cf;
+}
+
 void CfVector::AddPoint(const float* point, int dim) {
   if (ls_.empty()) ls_.assign(dim, 0.0);
   WALRUS_DCHECK_EQ(dim, this->dim());
@@ -61,25 +70,14 @@ double CfVector::Diameter() const {
 
 double CfVector::CentroidDistance(const CfVector& a, const CfVector& b) {
   WALRUS_DCHECK_EQ(a.dim(), b.dim());
-  WALRUS_DCHECK(a.count_ > 0 && b.count_ > 0);
-  double inv_a = 1.0 / static_cast<double>(a.count_);
-  double inv_b = 1.0 / static_cast<double>(b.count_);
-  return std::sqrt(simd::Active().scaled_squared_l2_f64(
-      a.ls_.data(), inv_a, b.ls_.data(), inv_b, a.dim()));
+  return cf_math::CentroidDistance(a.count_, a.ls_.data(), b.count_,
+                                   b.ls_.data(), a.dim());
 }
 
 double CfVector::MergedRadius(const CfVector& other) const {
-  int64_t n = count_ + other.count_;
-  if (n <= 1) return 0.0;
-  double inv = 1.0 / static_cast<double>(n);
-  double ss = ss_ + other.ss_;
-  double centroid_norm2 = 0.0;
-  for (int i = 0; i < dim(); ++i) {
-    double ls = ls_[i] + other.ls_[i];
-    centroid_norm2 += (ls * inv) * (ls * inv);
-  }
-  double r2 = ss * inv - centroid_norm2;
-  return r2 > 0.0 ? std::sqrt(r2) : 0.0;
+  WALRUS_DCHECK_EQ(dim(), other.dim());
+  return cf_math::MergedRadius(count_, ss_, ls_.data(), other.count_,
+                               other.ss_, other.ls_.data(), dim());
 }
 
 double CfVector::MergedRadiusWithPoint(const float* point, int dim) const {
@@ -97,5 +95,33 @@ double CfVector::MergedRadiusWithPoint(const float* point, int dim) const {
   double r2 = ss * inv - centroid_norm2;
   return r2 > 0.0 ? std::sqrt(r2) : 0.0;
 }
+
+namespace cf_math {
+
+double CentroidDistance(int64_t n_a, const double* ls_a, int64_t n_b,
+                        const double* ls_b, int dim) {
+  WALRUS_DCHECK(n_a > 0 && n_b > 0);
+  double inv_a = 1.0 / static_cast<double>(n_a);
+  double inv_b = 1.0 / static_cast<double>(n_b);
+  return std::sqrt(
+      simd::Active().scaled_squared_l2_f64(ls_a, inv_a, ls_b, inv_b, dim));
+}
+
+double MergedRadius(int64_t n_a, double ss_a, const double* ls_a,
+                    int64_t n_b, double ss_b, const double* ls_b, int dim) {
+  int64_t n = n_a + n_b;
+  if (n <= 1) return 0.0;
+  double inv = 1.0 / static_cast<double>(n);
+  double ss = ss_a + ss_b;
+  double centroid_norm2 = 0.0;
+  for (int i = 0; i < dim; ++i) {
+    double ls = ls_a[i] + ls_b[i];
+    centroid_norm2 += (ls * inv) * (ls * inv);
+  }
+  double r2 = ss * inv - centroid_norm2;
+  return r2 > 0.0 ? std::sqrt(r2) : 0.0;
+}
+
+}  // namespace cf_math
 
 }  // namespace walrus

@@ -19,6 +19,10 @@ class CfVector {
   /// CF of a single point.
   static CfVector FromPoint(const float* point, int dim);
 
+  /// CF with the given sums (N, SS, LS[dim]).
+  static CfVector FromSums(int64_t count, double square_sum,
+                           const double* linear_sum, int dim);
+
   int dim() const { return static_cast<int>(ls_.size()); }
   int64_t count() const { return count_; }
   const std::vector<double>& linear_sum() const { return ls_; }
@@ -61,6 +65,20 @@ class CfVector {
   std::vector<double> ls_;
   double ss_ = 0.0;
 };
+
+/// CF arithmetic on raw sums. CfVector and the CF-tree's inline entry rows
+/// both go through these, so they round identically.
+namespace cf_math {
+
+/// Euclidean distance between the centroids LS_a/N_a and LS_b/N_b.
+double CentroidDistance(int64_t n_a, const double* ls_a, int64_t n_b,
+                        const double* ls_b, int dim);
+
+/// Radius of the union of CFs a and b (0 when the union has < 2 points).
+double MergedRadius(int64_t n_a, double ss_a, const double* ls_a,
+                    int64_t n_b, double ss_b, const double* ls_b, int dim);
+
+}  // namespace cf_math
 
 }  // namespace walrus
 

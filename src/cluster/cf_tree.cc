@@ -3,134 +3,207 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
+#include "common/simd.h"
 
 namespace walrus {
+namespace {
 
-struct CfTree::Node {
-  bool is_leaf = true;
-  /// Parallel arrays: entries[i] summarizes children[i]'s subtree (internal)
-  /// or subcluster i (leaf).
-  std::vector<CfVector> entries;
-  std::vector<std::unique_ptr<Node>> children;
-};
+// Entry row layout: N (an exact integer: counts stay far below 2^53), SS,
+// LS[dim], then the centroid LS[d] * (1/N) as the CentroidDistance kernels
+// compute it, cached because descent reads it far more often than merges
+// change it.
+constexpr int kCount = 0;
+constexpr int kSquareSum = 1;
+constexpr int kLinearSum = 2;
 
-CfTree::CfTree(CfTree&&) noexcept = default;
-CfTree& CfTree::operator=(CfTree&&) noexcept = default;
-CfTree::~CfTree() = default;
+int64_t RowCount(const double* row) {
+  return static_cast<int64_t>(row[kCount]);
+}
+
+double RowDistance(const double* a, const double* b, int dim) {
+  return cf_math::CentroidDistance(RowCount(a), a + kLinearSum, RowCount(b),
+                                   b + kLinearSum, dim);
+}
+
+/// Recomputes the cached centroid of `row` from its N and LS.
+void UpdateCentroid(double* row, int dim) {
+  const double inv = 1.0 / row[kCount];
+  const double* ls = row + kLinearSum;
+  double* centroid = row + kLinearSum + dim;
+  for (int d = 0; d < dim; ++d) centroid[d] = ls[d] * inv;
+}
+
+/// CfVector::Merge on rows: `row` absorbs `cf`.
+void MergeRow(double* row, const double* cf, int dim) {
+  simd::Active().add_f64(row + kLinearSum, cf + kLinearSum, dim);
+  row[kSquareSum] += cf[kSquareSum];
+  row[kCount] += cf[kCount];
+}
+
+CfVector RowToCf(const double* row, int dim) {
+  return CfVector::FromSums(RowCount(row), row[kSquareSum], row + kLinearSum,
+                            dim);
+}
+
+}  // namespace
 
 CfTree::CfTree(int dim, double threshold, int branching, int leaf_entries)
     : dim_(dim),
       threshold_(threshold),
       branching_(branching),
       leaf_entries_(leaf_entries),
-      root_(std::make_unique<Node>()) {
+      stride_(kLinearSum + 2 * dim),
+      capacity_(std::max(branching, leaf_entries) + 1),
+      insert_row_(stride_) {
   WALRUS_CHECK_GE(dim, 1);
   WALRUS_CHECK_GE(threshold, 0.0);
   WALRUS_CHECK_GE(branching, 2);
   WALRUS_CHECK_GE(leaf_entries, 2);
-  node_count_ = 1;
+  root_ = NewNode(/*is_leaf=*/true);
 }
 
-namespace {
+int CfTree::NewNode(bool is_leaf) {
+  const int index = static_cast<int>(nodes_.size());
+  nodes_.push_back({is_leaf, 0});
+  rows_.resize(rows_.size() + static_cast<size_t>(capacity_) * stride_);
+  children_.resize(children_.size() + capacity_, -1);
+  return index;
+}
 
-/// Index of the entry whose centroid is closest to cf's centroid.
-int ClosestEntry(const std::vector<CfVector>& entries, const CfVector& cf) {
-  WALRUS_DCHECK(!entries.empty());
+int CfTree::ClosestEntry(int node, const double* cf) {
+  const int n = nodes_[node].size;
+  WALRUS_DCHECK(n > 0);
+  // CentroidDistance from the cached centroids: each sum runs in ascending
+  // dimension order from 0.0, the scalar rule every scaled_squared_l2_f64
+  // kernel reproduces bit for bit. Distances keep their sqrt: two distinct
+  // squared distances can round to one distance, and the strict `<` then
+  // keeps the earlier entry. A later entry therefore wins only with a sum
+  // below best_sum, and partial sums never decrease (nonnegative terms,
+  // monotone rounding), so an entry is dropped once its partial sum
+  // reaches best_sum.
+  const double* cf_centroid = cf + kLinearSum + dim_;
   int best = 0;
+  double best_sum = std::numeric_limits<double>::infinity();
   double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    double d = CfVector::CentroidDistance(entries[i], cf);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(i);
+  for (int e = 0; e < n; ++e) {
+    const double* centroid = Row(node, e) + kLinearSum + dim_;
+    double sum = 0.0;
+    int d = 0;
+    for (; d < dim_; ++d) {
+      const double t = centroid[d] - cf_centroid[d];
+      sum += t * t;
+      if (sum >= best_sum) break;
+    }
+    if (d < dim_) continue;
+    const double dist = std::sqrt(sum);
+    if (dist < best_dist) {
+      best_dist = dist;
+      best_sum = sum;
+      best = e;
     }
   }
   return best;
 }
 
-}  // namespace
+void CfTree::AppendEntry(int node, const double* cf, int child) {
+  const int e = nodes_[node].size++;
+  WALRUS_DCHECK_LE(nodes_[node].size, capacity_);
+  std::copy(cf, cf + stride_, Row(node, e));
+  Child(node, e) = child;
+}
+
+void CfTree::SumEntries(int node, double* out) const {
+  // Summed from zero in entry order, as CfVector(dim) + Merge does.
+  std::fill(out, out + stride_, 0.0);
+  for (int e = 0; e < nodes_[node].size; ++e) MergeRow(out, Row(node, e), dim_);
+  UpdateCentroid(out, dim_);
+}
 
 void CfTree::InsertPoint(const float* point) {
-  InsertCf(CfVector::FromPoint(point, dim_));
-  // point_count_ is maintained by InsertCf.
+  // The point's CF, accumulated as CfVector::FromPoint does.
+  std::fill(insert_row_.begin(), insert_row_.end(), 0.0);
+  insert_row_[kCount] = 1.0;
+  insert_row_[kSquareSum] = simd::Active().accumulate_f32(
+      insert_row_.data() + kLinearSum, point, dim_, 0.0);
+  UpdateCentroid(insert_row_.data(), dim_);
+  point_count_ += 1;
+  InsertRow();
 }
 
 void CfTree::InsertCf(const CfVector& cf) {
   WALRUS_CHECK_EQ(cf.dim(), dim_);
   WALRUS_CHECK(!cf.empty());
+  insert_row_[kCount] = static_cast<double>(cf.count());
+  insert_row_[kSquareSum] = cf.square_sum();
+  std::copy(cf.linear_sum().begin(), cf.linear_sum().end(),
+            insert_row_.begin() + kLinearSum);
+  UpdateCentroid(insert_row_.data(), dim_);
   point_count_ += cf.count();
-  InsertOutcome outcome = InsertIntoSubtree(root_.get(), cf);
-  if (outcome.new_sibling != nullptr) {
-    // Root split: grow the tree by one level.
-    auto new_root = std::make_unique<Node>();
-    new_root->is_leaf = false;
-    CfVector left_cf(dim_);
-    for (const CfVector& e : root_->entries) left_cf.Merge(e);
-    CfVector right_cf(dim_);
-    for (const CfVector& e : outcome.new_sibling->entries) right_cf.Merge(e);
-    new_root->entries.push_back(std::move(left_cf));
-    new_root->entries.push_back(std::move(right_cf));
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(outcome.new_sibling));
-    root_ = std::move(new_root);
-    ++node_count_;
-  }
+  InsertRow();
 }
 
-CfTree::InsertOutcome CfTree::InsertIntoSubtree(Node* node,
-                                                const CfVector& cf) {
-  InsertOutcome outcome;
-  if (node->is_leaf) {
-    if (!node->entries.empty()) {
-      int idx = ClosestEntry(node->entries, cf);
-      if (node->entries[idx].MergedRadius(cf) <= threshold_) {
-        node->entries[idx].Merge(cf);
-        return outcome;
+void CfTree::InsertRow() {
+  const int sibling = InsertIntoSubtree(root_, insert_row_.data());
+  if (sibling < 0) return;
+  // Root split: grow the tree by one level.
+  const int new_root = NewNode(/*is_leaf=*/false);
+  nodes_[new_root].size = 2;
+  SumEntries(root_, Row(new_root, 0));
+  Child(new_root, 0) = root_;
+  SumEntries(sibling, Row(new_root, 1));
+  Child(new_root, 1) = sibling;
+  root_ = new_root;
+}
+
+int CfTree::InsertIntoSubtree(int node, const double* cf) {
+  if (nodes_[node].is_leaf) {
+    if (nodes_[node].size > 0) {
+      const int idx = ClosestEntry(node, cf);
+      double* row = Row(node, idx);
+      if (cf_math::MergedRadius(RowCount(row), row[kSquareSum],
+                                row + kLinearSum, RowCount(cf),
+                                cf[kSquareSum], cf + kLinearSum,
+                                dim_) <= threshold_) {
+        MergeRow(row, cf, dim_);
+        UpdateCentroid(row, dim_);
+        return -1;
       }
     }
-    node->entries.push_back(cf);
+    AppendEntry(node, cf, /*child=*/-1);
     ++leaf_cluster_count_;
-    if (static_cast<int>(node->entries.size()) > leaf_entries_) {
-      outcome.new_sibling = SplitNode(node);
-    }
-    return outcome;
+    return nodes_[node].size > leaf_entries_ ? SplitNode(node) : -1;
   }
 
-  int idx = ClosestEntry(node->entries, cf);
-  InsertOutcome child_outcome = InsertIntoSubtree(node->children[idx].get(), cf);
-  node->entries[idx].Merge(cf);
-  if (child_outcome.new_sibling != nullptr) {
-    // Recompute the split child's CF and append the new sibling.
-    CfVector left_cf(dim_);
-    for (const CfVector& e : node->children[idx]->entries) left_cf.Merge(e);
-    node->entries[idx] = std::move(left_cf);
-    CfVector right_cf(dim_);
-    for (const CfVector& e : child_outcome.new_sibling->entries) {
-      right_cf.Merge(e);
-    }
-    node->entries.push_back(std::move(right_cf));
-    node->children.push_back(std::move(child_outcome.new_sibling));
-    if (static_cast<int>(node->entries.size()) > branching_) {
-      outcome.new_sibling = SplitNode(node);
-    }
+  const int idx = ClosestEntry(node, cf);
+  const int child = Child(node, idx);
+  const int child_sibling = InsertIntoSubtree(child, cf);
+  // Rows are re-fetched: a split below may have grown the arena.
+  if (child_sibling < 0) {
+    MergeRow(Row(node, idx), cf, dim_);
+    UpdateCentroid(Row(node, idx), dim_);
+    return -1;
   }
-  return outcome;
+  // The split child's CF is recomputed, and the new sibling appended.
+  SumEntries(child, Row(node, idx));
+  const int e = nodes_[node].size++;
+  SumEntries(child_sibling, Row(node, e));
+  Child(node, e) = child_sibling;
+  return nodes_[node].size > branching_ ? SplitNode(node) : -1;
 }
 
-std::unique_ptr<CfTree::Node> CfTree::SplitNode(Node* node) {
+int CfTree::SplitNode(int node) {
   // Seed with the farthest pair of entry centroids, then assign each entry
   // to the closer seed (BIRCH split).
-  size_t n = node->entries.size();
-  WALRUS_DCHECK_LE(2u, n);
-  size_t seed_a = 0;
-  size_t seed_b = 1;
+  const int n = nodes_[node].size;
+  WALRUS_DCHECK_LE(2, n);
+  int seed_a = 0;
+  int seed_b = 1;
   double worst = -1.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double d = CfVector::CentroidDistance(node->entries[i], node->entries[j]);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      double d = RowDistance(Row(node, i), Row(node, j), dim_);
       if (d > worst) {
         worst = d;
         seed_a = i;
@@ -139,42 +212,34 @@ std::unique_ptr<CfTree::Node> CfTree::SplitNode(Node* node) {
     }
   }
 
-  auto sibling = std::make_unique<Node>();
-  sibling->is_leaf = node->is_leaf;
-  ++node_count_;
+  // Park the entries outside the arena: NewNode may move it.
+  split_rows_.assign(Row(node, 0),
+                     Row(node, 0) + static_cast<size_t>(n) * stride_);
+  split_children_.assign(&Child(node, 0), &Child(node, 0) + n);
+  const int sibling = NewNode(nodes_[node].is_leaf);
+  nodes_[node].size = 0;
 
-  std::vector<CfVector> old_entries = std::move(node->entries);
-  std::vector<std::unique_ptr<Node>> old_children = std::move(node->children);
-  node->entries.clear();
-  node->children.clear();
-
-  // Copy the seeds: the loop below moves entries out of old_entries, and a
-  // moved-from seed must not be used for later distance comparisons.
-  const CfVector seed_cf_a = old_entries[seed_a];
-  const CfVector seed_cf_b = old_entries[seed_b];
-  for (size_t i = 0; i < n; ++i) {
-    double da = CfVector::CentroidDistance(old_entries[i], seed_cf_a);
-    double db = CfVector::CentroidDistance(old_entries[i], seed_cf_b);
+  auto parked = [&](int i) {
+    return split_rows_.data() + static_cast<size_t>(i) * stride_;
+  };
+  for (int i = 0; i < n; ++i) {
+    double da = RowDistance(parked(i), parked(seed_a), dim_);
+    double db = RowDistance(parked(i), parked(seed_b), dim_);
     bool to_sibling = i == seed_b || (i != seed_a && db < da);
-    Node* target = to_sibling ? sibling.get() : node;
-    target->entries.push_back(std::move(old_entries[i]));
-    if (!old_children.empty()) {
-      target->children.push_back(std::move(old_children[i]));
-    }
+    AppendEntry(to_sibling ? sibling : node, parked(i), split_children_[i]);
   }
   // Both sides are nonempty because the two seeds land on opposite sides.
-  WALRUS_DCHECK(!node->entries.empty() && !sibling->entries.empty());
+  WALRUS_DCHECK(nodes_[node].size > 0 && nodes_[sibling].size > 0);
   return sibling;
 }
 
-void CfTree::CollectLeafClusters(const Node* node,
-                                 std::vector<CfVector>* out) const {
-  if (node->is_leaf) {
-    out->insert(out->end(), node->entries.begin(), node->entries.end());
-    return;
-  }
-  for (const auto& child : node->children) {
-    CollectLeafClusters(child.get(), out);
+void CfTree::CollectLeafClusters(int node, std::vector<CfVector>* out) const {
+  for (int e = 0; e < nodes_[node].size; ++e) {
+    if (nodes_[node].is_leaf) {
+      out->push_back(RowToCf(Row(node, e), dim_));
+    } else {
+      CollectLeafClusters(Child(node, e), out);
+    }
   }
 }
 
@@ -194,10 +259,12 @@ bool CloseEnough(double a, double b) {
 
 Status CfTree::Validate() const {
   struct Item {
-    const Node* node;
+    int node;
     int depth;
   };
-  std::vector<Item> stack = {{root_.get(), 0}};
+  std::vector<Item> stack = {{root_, 0}};
+  std::vector<double> sum(stride_);
+  std::vector<double> expected;
   int leaf_depth = -1;
   int64_t points_seen = 0;
   int leaves_seen = 0;
@@ -205,29 +272,31 @@ Status CfTree::Validate() const {
   while (!stack.empty()) {
     Item item = stack.back();
     stack.pop_back();
-    const Node* node = item.node;
-    ++nodes_seen;
-    int count = static_cast<int>(node->entries.size());
-    int limit = node->is_leaf ? leaf_entries_ : branching_;
+    const int node = item.node;
+    if (++nodes_seen > node_count()) {
+      return Status::Internal("cf tree has a cycle or a shared child");
+    }
+    const bool is_leaf = nodes_[node].is_leaf;
+    int count = nodes_[node].size;
+    int limit = is_leaf ? leaf_entries_ : branching_;
     if (count > limit) {
       return Status::Internal("cf node overfull: " + std::to_string(count) +
                               " entries, limit " + std::to_string(limit));
     }
-    if (node != root_.get() && count == 0) {
+    if (node != root_ && count == 0) {
       return Status::Internal("empty non-root cf node");
     }
-    for (const CfVector& cf : node->entries) {
-      if (cf.empty()) return Status::Internal("empty cf entry");
-      if (cf.dim() != dim_) {
-        return Status::Internal("cf entry dimension " +
-                                std::to_string(cf.dim()) + " != tree " +
-                                std::to_string(dim_));
+    for (int e = 0; e < count; ++e) {
+      const double* row = Row(node, e);
+      if (RowCount(row) <= 0) return Status::Internal("empty cf entry");
+      // The cached centroid must be exactly what a fresh one would be.
+      expected.assign(row, row + stride_);
+      UpdateCentroid(expected.data(), dim_);
+      if (!std::equal(expected.begin(), expected.end(), row)) {
+        return Status::Internal("cf entry centroid out of date");
       }
     }
-    if (node->is_leaf) {
-      if (!node->children.empty()) {
-        return Status::Internal("leaf cf node with children");
-      }
+    if (is_leaf) {
       if (leaf_depth == -1) leaf_depth = item.depth;
       if (item.depth != leaf_depth) {
         return Status::Internal("leaves at unequal depths: " +
@@ -235,11 +304,11 @@ Status CfTree::Validate() const {
                                 std::to_string(leaf_depth));
       }
       leaves_seen += count;
-      for (const CfVector& cf : node->entries) {
-        points_seen += cf.count();
+      for (int e = 0; e < count; ++e) {
+        points_seen += RowCount(Row(node, e));
         // Absorption only happens when the merged radius stays within the
         // threshold, so every leaf subcluster obeys it (BIRCH 4.1).
-        double radius = cf.Radius();
+        double radius = RowToCf(Row(node, e), dim_).Radius();
         if (radius > threshold_ && !CloseEnough(radius, threshold_)) {
           return Status::Internal(
               "leaf subcluster radius " + std::to_string(radius) +
@@ -248,27 +317,27 @@ Status CfTree::Validate() const {
       }
       continue;
     }
-    if (node->children.size() != node->entries.size()) {
-      return Status::Internal("cf entries/children arity mismatch");
-    }
-    for (size_t i = 0; i < node->entries.size(); ++i) {
+    for (int e = 0; e < count; ++e) {
+      const int child = Child(node, e);
+      if (child < 0 || child >= node_count()) {
+        return Status::Internal("cf entry child index " +
+                                std::to_string(child) + " out of range");
+      }
       // CF additivity (BIRCH theorem 4.1): a nonleaf entry must equal the
       // sum of the CFs in the child it summarizes.
-      const Node* child = node->children[i].get();
-      CfVector sum(dim_);
-      for (const CfVector& cf : child->entries) sum.Merge(cf);
-      const CfVector& stored = node->entries[i];
-      if (stored.count() != sum.count()) {
+      SumEntries(child, sum.data());
+      const double* stored = Row(node, e);
+      if (RowCount(stored) != RowCount(sum.data())) {
         return Status::Internal(
             "cf additivity violated: stored N " +
-            std::to_string(stored.count()) + " != children sum " +
-            std::to_string(sum.count()));
+            std::to_string(RowCount(stored)) + " != children sum " +
+            std::to_string(RowCount(sum.data())));
       }
-      if (!CloseEnough(stored.square_sum(), sum.square_sum())) {
+      if (!CloseEnough(stored[kSquareSum], sum[kSquareSum])) {
         return Status::Internal("cf additivity violated: SS drift");
       }
       for (int d = 0; d < dim_; ++d) {
-        if (!CloseEnough(stored.linear_sum()[d], sum.linear_sum()[d])) {
+        if (!CloseEnough(stored[kLinearSum + d], sum[kLinearSum + d])) {
           return Status::Internal("cf additivity violated: LS drift at dim " +
                                   std::to_string(d));
         }
@@ -286,28 +355,28 @@ Status CfTree::Validate() const {
                             std::to_string(leaves_seen) + " expected " +
                             std::to_string(leaf_cluster_count_));
   }
-  if (nodes_seen != node_count_) {
+  if (nodes_seen != node_count()) {
     return Status::Internal("node count mismatch: counted " +
                             std::to_string(nodes_seen) + " expected " +
-                            std::to_string(node_count_));
+                            std::to_string(node_count()));
   }
   return Status::OK();
 }
 
 void CfTree::TestOnlyCorruptFirstLeafCf(double delta) {
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    WALRUS_CHECK(!node->children.empty());
-    node = node->children.front().get();
+  int node = root_;
+  while (!nodes_[node].is_leaf) {
+    WALRUS_CHECK_GT(nodes_[node].size, 0);
+    node = Child(node, 0);
   }
-  WALRUS_CHECK(!node->entries.empty()) << "cannot corrupt an empty tree";
-  node->entries.front().TestOnlyPerturbSquareSum(delta);
+  WALRUS_CHECK_GT(nodes_[node].size, 0) << "cannot corrupt an empty tree";
+  Row(node, 0)[kSquareSum] += delta;
 }
 
 std::vector<CfVector> CfTree::LeafClusters() const {
   std::vector<CfVector> out;
   out.reserve(leaf_cluster_count_);
-  CollectLeafClusters(root_.get(), &out);
+  CollectLeafClusters(root_, &out);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef WALRUS_CLUSTER_CF_TREE_H_
 #define WALRUS_CLUSTER_CF_TREE_H_
 
-#include <memory>
 #include <vector>
 
 #include "cluster/cf.h"
@@ -15,15 +14,16 @@ namespace walrus {
 /// leaf subcluster absorbs it if the merged radius stays within `threshold`,
 /// otherwise it starts a new subcluster. Overfull nodes split along the
 /// farthest entry pair, recursively up to the root.
+///
+/// Nodes live in one arena and refer to each other by index. Each node's
+/// entries are inline rows (N, SS, LS[dim], cached centroid[dim]) in one
+/// shared slab, so inserting a point allocates nothing once the tree has
+/// grown. The tree is bit-identical to one built from CfVector entries: the
+/// same sums in the same order, and the same sqrt distances with strict
+/// first-index ties (DESIGN.md section 18).
 class CfTree {
  public:
   CfTree(int dim, double threshold, int branching = 8, int leaf_entries = 8);
-
-  CfTree(const CfTree&) = delete;
-  CfTree& operator=(const CfTree&) = delete;
-  CfTree(CfTree&&) noexcept;
-  CfTree& operator=(CfTree&&) noexcept;
-  ~CfTree();
 
   /// Inserts one point (length == dim()).
   void InsertPoint(const float* point);
@@ -41,7 +41,7 @@ class CfTree {
   /// Number of leaf subclusters currently in the tree.
   int leaf_cluster_count() const { return leaf_cluster_count_; }
   /// Total nodes (diagnostics / memory-bound rebuild policy).
-  int node_count() const { return node_count_; }
+  int node_count() const { return static_cast<int>(nodes_.size()); }
 
   /// Deep structural validation: CF additivity (each internal entry's
   /// N/LS/SS equals the sum over its child's entries, within floating-point
@@ -57,26 +57,55 @@ class CfTree {
   void TestOnlyCorruptFirstLeafCf(double delta);
 
  private:
-  struct Node;
-
-  /// Outcome of inserting into a subtree: if the child split, `new_sibling`
-  /// holds the extra node to add to the parent.
-  struct InsertOutcome {
-    std::unique_ptr<Node> new_sibling;
+  struct Node {
+    bool is_leaf = true;
+    int size = 0;  // entries in use
   };
 
-  InsertOutcome InsertIntoSubtree(Node* node, const CfVector& cf);
-  std::unique_ptr<Node> SplitNode(Node* node);
-  void CollectLeafClusters(const Node* node, std::vector<CfVector>* out) const;
+  /// Appends an empty node (its rows and child slots included); returns its
+  /// index. Invalidates row pointers.
+  int NewNode(bool is_leaf);
+  /// Entry row e of `node`: N, SS, LS[dim], then the centroid.
+  double* Row(int node, int e) {
+    return rows_.data() + (static_cast<size_t>(node) * capacity_ + e) * stride_;
+  }
+  const double* Row(int node, int e) const {
+    return rows_.data() + (static_cast<size_t>(node) * capacity_ + e) * stride_;
+  }
+  int& Child(int node, int e) { return children_[node * capacity_ + e]; }
+  int Child(int node, int e) const { return children_[node * capacity_ + e]; }
+
+  /// Index of the entry of `node` whose centroid is closest to cf's.
+  int ClosestEntry(int node, const double* cf);
+  /// Appends a copy of row `cf` (with `child`) to `node`.
+  void AppendEntry(int node, const double* cf, int child);
+  /// Writes the CF sum of all of `node`'s entries to `out`.
+  void SumEntries(int node, double* out) const;
+  /// Inserts the CF row `insert_row_` from the root down.
+  void InsertRow();
+  /// Inserts `cf` below `node`; returns the new sibling index when `node`
+  /// split, else -1. `cf` must not point into the arena.
+  int InsertIntoSubtree(int node, const double* cf);
+  int SplitNode(int node);
+  void CollectLeafClusters(int node, std::vector<CfVector>* out) const;
 
   int dim_;
   double threshold_;
   int branching_;
   int leaf_entries_;
+  int stride_;    // doubles per entry row: 2 + 2 * dim
+  int capacity_;  // entry slots per node: one over the larger node limit
   int64_t point_count_ = 0;
   int leaf_cluster_count_ = 0;
-  int node_count_ = 0;
-  std::unique_ptr<Node> root_;
+  int root_ = 0;
+  std::vector<Node> nodes_;
+  std::vector<double> rows_;
+  std::vector<int> children_;
+  /// Scratch: the CF being inserted, and an overfull node's entries while
+  /// it splits.
+  std::vector<double> insert_row_;
+  std::vector<double> split_rows_;
+  std::vector<int> split_children_;
 };
 
 }  // namespace walrus

@@ -35,18 +35,40 @@ void CoverageBitmap::Clear() {
   std::fill(words_.begin(), words_.end(), 0);
 }
 
+namespace {
+
+/// Image coordinate of the center of cell `c` along an axis of `extent`
+/// pixels split into `side` cells.
+double CellCenter(int c, int extent, int side) {
+  return (c + 0.5) * extent / side;
+}
+
+/// First cell in [0, side] whose center is >= bound. Centers increase with
+/// the cell index, so this splits the axis in two; the estimate is only a
+/// starting point, the exact double comparisons decide.
+int FirstCellAtOrAfter(int bound, int extent, int side) {
+  const double estimate = static_cast<double>(bound) * side / extent;
+  int c = estimate <= 0.0    ? 0
+          : estimate >= side ? side
+                             : static_cast<int>(estimate);
+  while (c > 0 && CellCenter(c - 1, extent, side) >= bound) --c;
+  while (c < side && CellCenter(c, extent, side) < bound) ++c;
+  return c;
+}
+
+}  // namespace
+
 void CoverageBitmap::MarkWindow(int x, int y, int w, int h, int image_w,
                                 int image_h) {
   WALRUS_DCHECK(image_w > 0 && image_h > 0);
-  for (int cy = 0; cy < side_; ++cy) {
-    // Center pixel of the cell row (in image coordinates).
-    double center_y = (cy + 0.5) * image_h / side_;
-    if (center_y < y || center_y >= y + h) continue;
-    for (int cx = 0; cx < side_; ++cx) {
-      double center_x = (cx + 0.5) * image_w / side_;
-      if (center_x < x || center_x >= x + w) continue;
-      SetCell(cx, cy);
-    }
+  // The cells whose center lies in [x, x+w) x [y, y+h) form a rectangle:
+  // one run of cells per axis.
+  const int x_begin = FirstCellAtOrAfter(x, image_w, side_);
+  const int x_end = FirstCellAtOrAfter(x + w, image_w, side_);
+  const int y_begin = FirstCellAtOrAfter(y, image_h, side_);
+  const int y_end = FirstCellAtOrAfter(y + h, image_h, side_);
+  for (int cy = y_begin; cy < y_end; ++cy) {
+    for (int cx = x_begin; cx < x_end; ++cx) SetCell(cx, cy);
   }
 }
 

@@ -462,12 +462,11 @@ namespace {
 /// probe -> score -> rank (the query_pipeline.h stages), plus timing,
 /// metrics, and tracing. `trace`, when non-null, receives the
 /// probe/match/rank spans; callers own the extract span (they know whether
-/// extraction happened at all).
+/// extraction happened at all) and have validated `options`.
 Result<std::vector<QueryMatch>> RunMatchingPipeline(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
     double query_area, const QueryOptions& options, QueryStats* stats,
     QueryTrace* trace) {
-  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const QueryPathMetrics& metrics = QueryPathMetrics::Get();
   const bool use_bbox =
@@ -572,6 +571,7 @@ QueryTrace* TraceFor(const QueryOptions& options, QueryStats* stats,
 Result<std::vector<QueryMatch>> ExecuteQueryWithRegions(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
     double query_area, const QueryOptions& options, QueryStats* stats) {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   QueryTrace storage;
   QueryTrace* trace = TraceFor(options, stats, &storage);
   auto result = RunMatchingPipeline(index, query_regions, query_area,
@@ -585,6 +585,7 @@ Result<std::vector<QueryMatch>> ExecuteSceneQuery(const WalrusIndex& index,
                                                   const PixelRect& scene,
                                                   const QueryOptions& options,
                                                   QueryStats* stats) {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   QueryTrace storage;
   QueryTrace* trace = TraceFor(options, stats, &storage);
   WallTimer timer;
@@ -645,6 +646,7 @@ Result<std::vector<QueryMatch>> ExecuteQuery(const WalrusIndex& index,
                                              const ImageF& query_image,
                                              const QueryOptions& options,
                                              QueryStats* stats) {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   QueryTrace storage;
   QueryTrace* trace = TraceFor(options, stats, &storage);
   WallTimer timer;

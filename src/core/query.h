@@ -69,6 +69,8 @@ struct QueryOptions {
 /// Checks the numeric knobs every query entry point and the wire decoder
 /// must refuse: epsilon, refined_epsilon and tau must be finite, the two
 /// envelopes >= 0, and knn_per_region and top_k >= 0 (0 = off / no limit).
+/// Entry points run it before region extraction, so a bad query costs no
+/// extraction.
 /// A NaN envelope would make the index probe and the exact test disagree
 /// (and the prefilter's integer threshold undefined), so it never reaches
 /// them. InvalidArgument names the first bad field.

@@ -121,7 +121,6 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
     const std::vector<Region>& query_regions, double query_area,
     const QueryOptions& options, QueryStats* stats,
     QueryTrace* trace) const {
-  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const ShardedMetrics& metrics = ShardedMetrics::Get();
   const int n = num_shards();
@@ -333,6 +332,7 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
 Result<std::vector<QueryMatch>> ShardedIndex::RunQuery(
     const ImageF& query_image, const QueryOptions& options,
     QueryStats* stats) const {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   // Trace collection bypasses the cache: a cached answer has no pipeline
   // to trace, and spans are not part of the cached value.
   const bool cacheable = cache_ != nullptr && !options.collect_trace;
@@ -367,6 +367,7 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunQuery(
 Result<std::vector<QueryMatch>> ShardedIndex::RunSceneQuery(
     const ImageF& query_image, const PixelRect& scene,
     const QueryOptions& options, QueryStats* stats) const {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   const bool cacheable = cache_ != nullptr && !options.collect_trace;
   if (stats != nullptr) stats->result_cache_hit = false;
   ResultCache::Key key;

@@ -115,6 +115,7 @@ class ShardedIndex : public QueryEngine {
                std::vector<WalrusIndex> shards);
 
   /// Probe + score on every shard in parallel, then merge and rank.
+  /// Callers have validated `options`.
   Result<std::vector<QueryMatch>> RunPipelineSharded(
       const std::vector<Region>& query_regions, double query_area,
       const QueryOptions& options, QueryStats* stats,

@@ -11,18 +11,16 @@
 
 namespace walrus {
 
-void AppendNormalizedBlock(const float* raw_block, int s,
-                           std::vector<float>* out) {
+void WriteNormalizedBlock(const float* raw_block, int s, float* out) {
   WALRUS_DCHECK(IsPowerOfTwo(static_cast<uint32_t>(s)));
-  size_t base = out->size();
-  out->insert(out->end(), raw_block, raw_block + static_cast<size_t>(s) * s);
+  std::copy(raw_block, raw_block + static_cast<size_t>(s) * s, out);
   // Detail quadrants of side m are scaled by 1/m (see
   // HaarNormalizeNonStandard); the average (0,0) is untouched.
   for (int m = 1; m < s; m *= 2) {
     float inv = 1.0f / static_cast<float>(m);
     for (int j = 0; j < m; ++j) {
-      float* row_top = out->data() + base + static_cast<size_t>(j) * s;
-      float* row_bottom = out->data() + base + static_cast<size_t>(m + j) * s;
+      float* row_top = out + static_cast<size_t>(j) * s;
+      float* row_bottom = out + static_cast<size_t>(m + j) * s;
       for (int i = 0; i < m; ++i) {
         row_top[m + i] *= inv;     // horizontal quadrant
         row_bottom[i] *= inv;      // vertical quadrant
@@ -58,29 +56,36 @@ Result<WindowSignatureSet> ComputeWindowSignatures(
 
   const int s = params.signature_size;
 
-  // Per-channel DP sweep; all levels up to max_window are produced, we keep
-  // those in [min_window, max_window].
+  // Per-channel DP sweep over [min_window, max_window]; smaller levels are
+  // scaffolding inside the sweep.
   std::vector<std::vector<WindowSignatureGrid>> per_channel;
   per_channel.reserve(channels);
   for (int c = 0; c < channels; ++c) {
     per_channel.push_back(ComputeSlidingWindowSignatures(
         converted.Plane(c), converted.width(), converted.height(), s,
-        max_window, params.slide_step));
+        params.min_window, max_window, params.slide_step));
   }
 
   WindowSignatureSet set;
   set.dim = params.SignatureDim();
+  size_t window_count = 0;
+  for (const WindowSignatureGrid& grid : per_channel[0]) {
+    window_count += static_cast<size_t>(grid.WindowCount());
+  }
+  set.windows.reserve(window_count);
+  set.signatures.resize(window_count * static_cast<size_t>(set.dim));
+  const size_t block = static_cast<size_t>(s) * s;
+  float* out = set.signatures.data();
   for (size_t level = 0; level < per_channel[0].size(); ++level) {
     const WindowSignatureGrid& grid0 = per_channel[0][level];
-    if (grid0.window_size < params.min_window) continue;
     WALRUS_CHECK_EQ(grid0.sig_n, s);
     for (int iy = 0; iy < grid0.ny; ++iy) {
       for (int ix = 0; ix < grid0.nx; ++ix) {
         set.windows.push_back(
             {grid0.RootX(ix), grid0.RootY(iy), grid0.window_size});
         for (int c = 0; c < channels; ++c) {
-          AppendNormalizedBlock(per_channel[c][level].SigAt(ix, iy), s,
-                                &set.signatures);
+          WriteNormalizedBlock(per_channel[c][level].SigAt(ix, iy), s, out);
+          out += block;
         }
       }
     }

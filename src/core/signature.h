@@ -31,10 +31,9 @@ struct WindowSignatureSet {
   }
 };
 
-/// Normalizes a raw s x s lowest-frequency block in place (2-D rule: detail
-/// quadrant of side m divided by m) and appends it to `out`.
-void AppendNormalizedBlock(const float* raw_block, int s,
-                           std::vector<float>* out);
+/// Writes the raw s x s lowest-frequency block normalized (2-D rule: detail
+/// quadrant of side m divided by m) to the s*s floats at `out`.
+void WriteNormalizedBlock(const float* raw_block, int s, float* out);
 
 /// Computes the window signature set of `image` (any color space; it is
 /// converted to params.color_space first). Uses the dynamic-programming

@@ -82,16 +82,25 @@ namespace {
 
 using PixelConverter = void (*)(float, float, float, float*, float*, float*);
 
-ImageF ConvertWith(const ImageF& in, ColorSpace target, PixelConverter fn) {
+/// Converts every pixel of a 3-channel image with `Fn` (a template argument,
+/// so the call inlines) and clamps the results to [0,1], reading and writing
+/// whole planes.
+template <PixelConverter Fn>
+ImageF ConvertWith(const ImageF& in, ColorSpace target) {
   ImageF out(in.width(), in.height(), 3, target);
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      float a, b, c;
-      fn(in.At(0, x, y), in.At(1, x, y), in.At(2, x, y), &a, &b, &c);
-      out.At(0, x, y) = Clamp(a, 0.0f, 1.0f);
-      out.At(1, x, y) = Clamp(b, 0.0f, 1.0f);
-      out.At(2, x, y) = Clamp(c, 0.0f, 1.0f);
-    }
+  const float* in0 = in.Plane(0).data();
+  const float* in1 = in.Plane(1).data();
+  const float* in2 = in.Plane(2).data();
+  float* out0 = out.Plane(0).data();
+  float* out1 = out.Plane(1).data();
+  float* out2 = out.Plane(2).data();
+  const size_t n = static_cast<size_t>(in.PixelCount());
+  for (size_t i = 0; i < n; ++i) {
+    float a, b, c;
+    Fn(in0[i], in1[i], in2[i], &a, &b, &c);
+    out0[i] = Clamp(a, 0.0f, 1.0f);
+    out1[i] = Clamp(b, 0.0f, 1.0f);
+    out2[i] = Clamp(c, 0.0f, 1.0f);
   }
   return out;
 }
@@ -101,11 +110,11 @@ Result<ImageF> ToRgb(const ImageF& image) {
     case ColorSpace::kRGB:
       return image;
     case ColorSpace::kYCC:
-      return ConvertWith(image, ColorSpace::kRGB, &YccToRgbPixel);
+      return ConvertWith<&YccToRgbPixel>(image, ColorSpace::kRGB);
     case ColorSpace::kYIQ:
-      return ConvertWith(image, ColorSpace::kRGB, &YiqToRgbPixel);
+      return ConvertWith<&YiqToRgbPixel>(image, ColorSpace::kRGB);
     case ColorSpace::kHSV:
-      return ConvertWith(image, ColorSpace::kRGB, &HsvToRgbPixel);
+      return ConvertWith<&HsvToRgbPixel>(image, ColorSpace::kRGB);
     case ColorSpace::kGray: {
       ImageF out(image.width(), image.height(), 3, ColorSpace::kRGB);
       for (int y = 0; y < image.height(); ++y) {
@@ -130,16 +139,22 @@ Result<ImageF> ConvertColorSpace(const ImageF& image, ColorSpace target) {
     return Status::InvalidArgument(
         "color conversion requires a 3-channel image");
   }
-  WALRUS_ASSIGN_OR_RETURN(ImageF rgb, ToRgb(image));
+  // An RGB source is read in place; other spaces go through RGB first.
+  ImageF converted_rgb;
+  if (image.color_space() != ColorSpace::kRGB) {
+    WALRUS_ASSIGN_OR_RETURN(converted_rgb, ToRgb(image));
+  }
+  const ImageF& rgb =
+      image.color_space() == ColorSpace::kRGB ? image : converted_rgb;
   switch (target) {
     case ColorSpace::kRGB:
-      return rgb;
+      return converted_rgb;  // the source is not RGB (checked above)
     case ColorSpace::kYCC:
-      return ConvertWith(rgb, ColorSpace::kYCC, &RgbToYccPixel);
+      return ConvertWith<&RgbToYccPixel>(rgb, ColorSpace::kYCC);
     case ColorSpace::kYIQ:
-      return ConvertWith(rgb, ColorSpace::kYIQ, &RgbToYiqPixel);
+      return ConvertWith<&RgbToYiqPixel>(rgb, ColorSpace::kYIQ);
     case ColorSpace::kHSV:
-      return ConvertWith(rgb, ColorSpace::kHSV, &RgbToHsvPixel);
+      return ConvertWith<&RgbToHsvPixel>(rgb, ColorSpace::kHSV);
     case ColorSpace::kGray: {
       ImageF out(rgb.width(), rgb.height(), 1, ColorSpace::kGray);
       for (int y = 0; y < rgb.height(); ++y) {

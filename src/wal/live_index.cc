@@ -535,7 +535,6 @@ Status LiveIndex::Merge() {
 Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
     const std::vector<Region>& query_regions, double query_area,
     const QueryOptions& options, QueryStats* stats) const {
-  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   WallTimer timer;
   const LiveQueryMetrics& metrics = LiveQueryMetrics::Get();
   const int n = base_->num_shards();
@@ -726,6 +725,7 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
 Result<std::vector<QueryMatch>> LiveIndex::RunAnyQuery(
     const ImageF& query_image, const PixelRect* scene,
     const QueryOptions& options, QueryStats* stats) const {
+  WALRUS_RETURN_IF_ERROR(ValidateQueryOptions(options));
   // Trace collection bypasses the cache, same as the sharded engine.
   const bool cacheable = cache_ != nullptr && !options.collect_trace;
   if (stats != nullptr) stats->result_cache_hit = false;

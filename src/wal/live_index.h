@@ -143,7 +143,8 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   void MaybeScheduleMerge() WALRUS_EXCLUDES(merge_mu_);
 
   /// The live composition: probe + score base shards (minus tombstones)
-  /// and delta, then rank. Caller holds the state reader lock.
+  /// and delta, then rank. Caller holds the state reader lock and has
+  /// validated `options`.
   Result<std::vector<QueryMatch>> RunPipelineLive(
       const std::vector<Region>& query_regions, double query_area,
       const QueryOptions& options, QueryStats* stats) const

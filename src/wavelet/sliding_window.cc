@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/math_util.h"
 
@@ -62,20 +63,43 @@ void CopyBlocks(const float* const srcs[4], int src_stride, float* out,
   }
 }
 
+/// Window averages of one level whose stored block is a single float:
+/// window (ix, iy) averages the four subwindow averages at src indices
+/// (ix*step_idx + {0, half_idx}, iy*step_idx + {0, half_idx}) of a
+/// `src_row`-wide plane (the image itself for omega == 2). Same expression
+/// and order as the base case of ComputeSingleWindow, as a plain loop.
+void ComputeAverageLevel(const float* src, int src_row, int step_idx,
+                         int half_idx, int nx, int ny, float* out) {
+  for (int iy = 0; iy < ny; ++iy) {
+    const float* row0 = src + static_cast<size_t>(iy) * step_idx * src_row;
+    const float* row1 = row0 + static_cast<size_t>(half_idx) * src_row;
+    float* out_row = out + static_cast<size_t>(iy) * nx;
+    for (int ix = 0; ix < nx; ++ix) {
+      const int x = ix * step_idx;
+      out_row[ix] =
+          (row0[x] + row0[x + half_idx] + row1[x] + row1[x + half_idx]) / 4.0f;
+    }
+  }
+}
+
 /// Computes the grid for window size `omega` from the previous level's grid
-/// (or the raw plane for omega == 2). This is one iteration of the
+/// (or the raw plane for omega == 2), storing the upper-left sig_n x sig_n
+/// block of each window's transform. This is one iteration of the
 /// outermost loop of Figure 5.
 WindowSignatureGrid ComputeLevel(const std::vector<float>& plane, int width,
-                                 int height, int s, int omega, int step,
+                                 int height, int sig_n, int omega, int step,
                                  const WindowSignatureGrid* prev) {
   int dist = std::min(omega, step);
   int nx = (width - omega) / dist + 1;
   int ny = (height - omega) / dist + 1;
-  int sig_n = std::min(omega, s);
-  int p = sig_n;  // target block side = min(omega, s), Figure 5 step 7
   WindowSignatureGrid grid(omega, dist, nx, ny, sig_n);
 
   if (omega == 2) {
+    if (sig_n == 1) {
+      ComputeAverageLevel(plane.data(), width, dist, /*half_idx=*/1, nx, ny,
+                          grid.data.data());
+      return grid;
+    }
     // Subwindows are single pixels: read the image plane directly. With
     // dist == 2 and sig_n == 2 a whole grid row is the vectorized Haar base
     // case: adjacent windows read disjoint pixel pairs and their 2x2
@@ -107,8 +131,17 @@ WindowSignatureGrid ComputeLevel(const std::vector<float>& plane, int width,
   // Every needed subwindow root is a multiple of the previous step.
   WALRUS_CHECK_EQ(half % prev->step, 0);
   WALRUS_CHECK_EQ(dist % prev->step, 0);
+  // The target block reads the upper-left sig_n/2 block (or the average)
+  // of each subwindow.
+  WALRUS_CHECK_GE(prev->sig_n, std::max(1, sig_n / 2));
   int half_idx = half / prev->step;
   int step_idx = dist / prev->step;
+  if (sig_n == 1) {
+    WALRUS_CHECK_EQ(prev->sig_n, 1);
+    ComputeAverageLevel(prev->data.data(), prev->nx, step_idx, half_idx, nx,
+                        ny, grid.data.data());
+    return grid;
+  }
   for (int iy = 0; iy < ny; ++iy) {
     int py = iy * step_idx;
     for (int ix = 0; ix < nx; ++ix) {
@@ -116,17 +149,27 @@ WindowSignatureGrid ComputeLevel(const std::vector<float>& plane, int width,
       ComputeSingleWindow(prev->SigAt(px, py), prev->SigAt(px + half_idx, py),
                           prev->SigAt(px, py + half_idx),
                           prev->SigAt(px + half_idx, py + half_idx),
-                          prev->sig_n, grid.SigAt(ix, iy), sig_n, p);
+                          prev->sig_n, grid.SigAt(ix, iy), sig_n, sig_n);
     }
   }
   return grid;
 }
 
+/// Stored block side of level `omega`: min(omega, s) for kept levels; a
+/// scaffolding level (omega < omega_min) keeps only the block the next
+/// level reads, min(omega, s/2), or the bare average when s == 1.
+int StoredSide(int omega, int s, int omega_min) {
+  if (omega >= omega_min) return std::min(omega, s);
+  return std::max(1, std::min(omega, s / 2));
+}
+
 void ValidateArgs(const std::vector<float>& plane, int width, int height,
-                  int s, int omega_max, int step) {
+                  int s, int omega_min, int omega_max, int step) {
   WALRUS_CHECK(IsPowerOfTwo(static_cast<uint32_t>(s)));
+  WALRUS_CHECK(IsPowerOfTwo(static_cast<uint32_t>(omega_min)) &&
+               omega_min >= 2);
   WALRUS_CHECK(IsPowerOfTwo(static_cast<uint32_t>(omega_max)) &&
-               omega_max >= 2);
+               omega_max >= omega_min);
   WALRUS_CHECK(IsPowerOfTwo(static_cast<uint32_t>(step)));
   WALRUS_CHECK_EQ(static_cast<int>(plane.size()), width * height);
   WALRUS_CHECK(omega_max <= width && omega_max <= height);
@@ -157,16 +200,27 @@ void ComputeSingleWindow(const float* w1, const float* w2, const float* w3,
 
 std::vector<WindowSignatureGrid> ComputeSlidingWindowSignatures(
     const std::vector<float>& plane, int width, int height, int s,
-    int omega_max, int step) {
-  ValidateArgs(plane, width, height, s, omega_max, step);
+    int omega_min, int omega_max, int step) {
+  ValidateArgs(plane, width, height, s, omega_min, omega_max, step);
   std::vector<WindowSignatureGrid> levels;
-  levels.reserve(Log2Floor(static_cast<uint32_t>(omega_max)));
+  levels.reserve(Log2Floor(static_cast<uint32_t>(omega_max)) -
+                 Log2Floor(static_cast<uint32_t>(omega_min)) + 1);
+  // Only the latest scaffolding level is retained: the DP reads one level
+  // back.
+  WindowSignatureGrid scaffold;
   uint64_t windows = 0;
   for (int omega = 2; omega <= omega_max; omega *= 2) {
-    const WindowSignatureGrid* prev = levels.empty() ? nullptr : &levels.back();
-    levels.push_back(
-        ComputeLevel(plane, width, height, s, omega, step, prev));
-    windows += static_cast<uint64_t>(levels.back().WindowCount());
+    const WindowSignatureGrid* prev = nullptr;
+    if (omega > 2) prev = levels.empty() ? &scaffold : &levels.back();
+    WindowSignatureGrid grid =
+        ComputeLevel(plane, width, height, StoredSide(omega, s, omega_min),
+                     omega, step, prev);
+    windows += static_cast<uint64_t>(grid.WindowCount());
+    if (omega < omega_min) {
+      scaffold = std::move(grid);
+    } else {
+      levels.push_back(std::move(grid));
+    }
   }
   const SlidingWindowMetrics& metrics = SlidingWindowMetrics::Get();
   metrics.plane_computations->Increment();
@@ -177,21 +231,9 @@ std::vector<WindowSignatureGrid> ComputeSlidingWindowSignatures(
 WindowSignatureGrid ComputeSlidingWindowSignaturesAt(
     const std::vector<float>& plane, int width, int height, int s, int omega,
     int step) {
-  ValidateArgs(plane, width, height, s, omega, step);
-  // Only the previous level is retained, giving the paper's N*S auxiliary
-  // space bound instead of one grid per level.
-  WindowSignatureGrid prev;
-  uint64_t windows = 0;
-  for (int level = 2; level <= omega; level *= 2) {
-    WindowSignatureGrid current = ComputeLevel(
-        plane, width, height, s, level, step, level == 2 ? nullptr : &prev);
-    windows += static_cast<uint64_t>(current.WindowCount());
-    prev = std::move(current);
-  }
-  const SlidingWindowMetrics& metrics = SlidingWindowMetrics::Get();
-  metrics.plane_computations->Increment();
-  metrics.windows_computed->Increment(windows);
-  return prev;
+  return std::move(ComputeSlidingWindowSignatures(plane, width, height, s,
+                                                  omega, omega, step)
+                       .front());
 }
 
 }  // namespace walrus

@@ -24,16 +24,24 @@ void ComputeSingleWindow(const float* w1, const float* w2, const float* w3,
                          int out_stride, int p);
 
 /// Procedure computeSlidingWindows of Figure 5: computes signature grids for
-/// every window size omega = 2, 4, ..., omega_max. Element [k] of the result
-/// holds windows of size 2^(k+1). `s` bounds the stored signature side
-/// (min(omega, s) is kept per window), `step` is the slide distance t; all
-/// three must be powers of two.
+/// the window sizes omega = omega_min, 2*omega_min, ..., omega_max. Element
+/// [k] of the result holds windows of size omega_min * 2^k. `s` bounds the
+/// stored signature side (min(omega, s) is kept per window), `step` is the
+/// slide distance t; s, step and both window bounds must be powers of two.
+///
+/// Levels 2 .. omega_min/2 are DP scaffolding: each stores only the
+/// upper-left min(omega, s/2) block (at least one float) of its windows'
+/// transforms, which is exactly what the next level reads (for s == 2 a
+/// plane of window averages). The kept levels are bit-identical to a full
+/// sweep with omega_min == 2 (DESIGN.md section 18).
 std::vector<WindowSignatureGrid> ComputeSlidingWindowSignatures(
     const std::vector<float>& plane, int width, int height, int s,
-    int omega_max, int step);
+    int omega_min, int omega_max, int step);
 
-/// Convenience: like above but returns only the grid for `omega`
-/// (intermediate levels are still computed, as the DP requires).
+/// Convenience: the grid for `omega` alone (every smaller level is
+/// scaffolding). Auxiliary space is one scaffolding level, with at most
+/// (s/2)^2 floats per window of that level (one when s <= 2), a quarter of
+/// the paper's S = s^2 per window.
 WindowSignatureGrid ComputeSlidingWindowSignaturesAt(
     const std::vector<float>& plane, int width, int height, int s, int omega,
     int step);

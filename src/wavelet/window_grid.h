@@ -14,7 +14,8 @@ namespace walrus {
 /// (unnormalized) non-standard Haar transform, row-major.
 ///
 /// sig_n = min(window_size, s_store): windows smaller than the requested
-/// signature side keep their complete transform.
+/// signature side keep their complete transform. DP scaffolding levels
+/// (ComputeSlidingWindowSignatures) store a smaller block.
 struct WindowSignatureGrid {
   int window_size = 0;
   int step = 0;

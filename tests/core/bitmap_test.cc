@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace walrus {
 namespace {
 
@@ -99,6 +101,61 @@ TEST(CoverageBitmap, MarkWindowClipsToImage) {
   EXPECT_EQ(bm.CountSet(), 4);              // bottom-right 2x2 cells
   EXPECT_TRUE(bm.TestCell(7, 7));
   EXPECT_TRUE(bm.TestCell(6, 6));
+}
+
+/// The all-cells MarkWindow: tests every cell center against the window.
+void ReferenceMarkWindow(CoverageBitmap* bm, int x, int y, int w, int h,
+                         int image_w, int image_h) {
+  const int side = bm->side();
+  for (int cy = 0; cy < side; ++cy) {
+    double center_y = (cy + 0.5) * image_h / side;
+    if (center_y < y || center_y >= y + h) continue;
+    for (int cx = 0; cx < side; ++cx) {
+      double center_x = (cx + 0.5) * image_w / side;
+      if (center_x < x || center_x >= x + w) continue;
+      bm->SetCell(cx, cy);
+    }
+  }
+}
+
+TEST(CoverageBitmap, MarkWindowMatchesAllCellsReference) {
+  Rng rng(2024);
+  // Extents that the sides do not divide, plus exact multiples.
+  const int extents[][2] = {{384, 384}, {300, 384}, {97, 61}, {128, 100},
+                            {1, 1},     {7, 1000},  {64, 64}};
+  for (int side : {1, 7, 16, 64}) {
+    for (const auto& extent : extents) {
+      const int image_w = extent[0];
+      const int image_h = extent[1];
+      for (int trial = 0; trial < 300; ++trial) {
+        // Windows may start before, end past, or miss the image.
+        int x = rng.NextInt(-10, image_w + 10);
+        int y = rng.NextInt(-10, image_h + 10);
+        int w = rng.NextInt(0, image_w + 8);
+        int h = rng.NextInt(0, image_h + 8);
+        if (trial % 5 == 0) {
+          // Power-of-two windows on the slide grid, as extraction marks.
+          w = h = 1 << rng.NextInt(0, 6);
+          x = rng.NextInt(0, image_w - 1) / 4 * 4;
+          y = rng.NextInt(0, image_h - 1) / 4 * 4;
+        }
+        CoverageBitmap got(side);
+        CoverageBitmap want(side);
+        // Mark into a partly set bitmap so only the window's cells change.
+        for (int k = 0; k < 3; ++k) {
+          int cx = rng.NextInt(0, side - 1);
+          int cy = rng.NextInt(0, side - 1);
+          got.SetCell(cx, cy);
+          want.SetCell(cx, cy);
+        }
+        got.MarkWindow(x, y, w, h, image_w, image_h);
+        ReferenceMarkWindow(&want, x, y, w, h, image_w, image_h);
+        ASSERT_TRUE(got == want)
+            << "side " << side << " image " << image_w << "x" << image_h
+            << " window " << x << "," << y << " " << w << "x" << h;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/sharded_index.h"
 #include "image/synth.h"
 #include "image/transform.h"
@@ -232,6 +233,34 @@ TEST_F(QueryTest, NonFiniteOrNegativeOptionsAreRejected) {
   off.epsilon = 0.0f;
   EXPECT_TRUE(ValidateQueryOptions(off).ok());
   EXPECT_TRUE(ExecuteQuery(*index_, query, off).ok());
+}
+
+TEST_F(QueryTest, InvalidOptionsAreRejectedBeforeExtraction) {
+  // Every engine entry point refuses bad options before it extracts the
+  // query's regions: the extraction counter must not move.
+  const Counter* extractions =
+      MetricsRegistry::Global().GetCounter("walrus.extract.count");
+  ShardedIndex::Options shard_options;
+  shard_options.num_shards = 2;
+  auto sharded = ShardedIndex::Partition(*index_, shard_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  const ImageF query = MakeSolid(64, 64, {0.9f, 0.1f, 0.1f});
+  const PixelRect scene{0, 0, 32, 32};
+  QueryOptions bad;
+  bad.epsilon = std::numeric_limits<float>::quiet_NaN();
+  const uint64_t before = extractions->Value();
+  EXPECT_EQ(ExecuteQuery(*index_, query, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExecuteSceneQuery(*index_, query, scene, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sharded->RunQuery(query, bad, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sharded->RunSceneQuery(query, scene, bad, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(extractions->Value(), before);
+  // A valid query does extract.
+  ASSERT_TRUE(ExecuteQuery(*index_, query, QueryOptions()).ok());
+  EXPECT_GT(extractions->Value(), before);
 }
 
 TEST_F(QueryTest, QueryAgainstTranslatedObject) {

@@ -133,9 +133,8 @@ TEST(Signature, NormalizationDownweightsFineDetails) {
   // the raw transform.
   std::vector<float> raw(16);
   for (size_t i = 0; i < raw.size(); ++i) raw[i] = 1.0f;
-  std::vector<float> out;
-  AppendNormalizedBlock(raw.data(), 4, &out);
-  ASSERT_EQ(out.size(), 16u);
+  std::vector<float> out(16);
+  WriteNormalizedBlock(raw.data(), 4, out.data());
   EXPECT_FLOAT_EQ(out[0], 1.0f);               // DC
   EXPECT_FLOAT_EQ(out[1], 1.0f);               // coarsest detail
   EXPECT_FLOAT_EQ(out[2], 0.5f);               // fine horizontal

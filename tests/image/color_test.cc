@@ -1,7 +1,11 @@
 #include "image/color.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/random.h"
 
 namespace walrus {
@@ -92,6 +96,56 @@ TEST(Color, ConvertImageRoundTrip) {
     ASSERT_TRUE(back.ok());
     EXPECT_TRUE(back->AlmostEquals(rgb, 5e-3f)) << ColorSpaceName(cs);
   }
+}
+
+/// Per-pixel reference for a whole-image conversion: `fn` then Clamp.
+template <typename PixelFn>
+void ExpectConvertedBitEqual(const ImageF& in, const ImageF& out,
+                             PixelFn fn) {
+  ASSERT_EQ(out.width(), in.width());
+  ASSERT_EQ(out.height(), in.height());
+  ASSERT_EQ(out.channels(), 3);
+  for (int y = 0; y < in.height(); ++y) {
+    for (int x = 0; x < in.width(); ++x) {
+      float a, b, c;
+      fn(in.At(0, x, y), in.At(1, x, y), in.At(2, x, y), &a, &b, &c);
+      const float want[3] = {Clamp(a, 0.0f, 1.0f), Clamp(b, 0.0f, 1.0f),
+                             Clamp(c, 0.0f, 1.0f)};
+      for (int ch = 0; ch < 3; ++ch) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(out.At(ch, x, y)),
+                  std::bit_cast<uint32_t>(want[ch]))
+            << "pixel (" << x << "," << y << ") channel " << ch;
+      }
+    }
+  }
+}
+
+TEST(Color, ConvertImageBitEqualsPerPixelConversion) {
+  // Whole-image conversion is the per-pixel function plus Clamp, bit for
+  // bit, including inputs outside [0,1] whose results clamp.
+  Rng rng(5);
+  ImageF rgb(13, 7, 3, ColorSpace::kRGB);
+  for (int c = 0; c < 3; ++c) {
+    for (float& p : rgb.Plane(c)) p = rng.NextFloat() * 1.6f - 0.3f;
+  }
+  rgb.SetPixel(0, 0, {0.0f, 0.0f, 0.0f});
+  rgb.SetPixel(1, 0, {1.0f, 1.0f, 1.0f});
+  rgb.SetPixel(2, 0, {-0.0f, 2.0f, -1.0f});
+  ExpectConvertedBitEqual(rgb, ConvertColorSpace(rgb, ColorSpace::kYCC).value(),
+                          RgbToYccPixel);
+  ExpectConvertedBitEqual(rgb, ConvertColorSpace(rgb, ColorSpace::kYIQ).value(),
+                          RgbToYiqPixel);
+  ExpectConvertedBitEqual(rgb, ConvertColorSpace(rgb, ColorSpace::kHSV).value(),
+                          RgbToHsvPixel);
+  // Back to RGB from each space, on in-range and out-of-range samples.
+  ImageF ycc = rgb;
+  ycc.set_color_space(ColorSpace::kYCC);
+  ExpectConvertedBitEqual(ycc, ConvertColorSpace(ycc, ColorSpace::kRGB).value(),
+                          YccToRgbPixel);
+  ImageF yiq = rgb;
+  yiq.set_color_space(ColorSpace::kYIQ);
+  ExpectConvertedBitEqual(yiq, ConvertColorSpace(yiq, ColorSpace::kRGB).value(),
+                          YiqToRgbPixel);
 }
 
 TEST(Color, ConvertToGray) {

@@ -11,6 +11,7 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
+#include "common/metrics.h"
 #include "core/index.h"
 #include "core/query.h"
 #include "core/query_engine.h"
@@ -140,6 +141,28 @@ TEST_F(LiveIndexTest, InvalidQueryOptionsAreRejected) {
               StatusCode::kInvalidArgument);
   }
   EXPECT_TRUE((*live)->RunQuery(dataset_[0].image, QueryOptions()).ok());
+}
+
+TEST_F(LiveIndexTest, InvalidQueryOptionsCostNoExtraction) {
+  std::string dir = FreshDir("live_invalid_no_extract");
+  LiveIndex::Options options;
+  options.merge_threshold = 0;
+  auto live = LiveIndex::Open(dir, TestParams(), options);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE((*live)->InsertImage(0, "img", dataset_[0].image).ok());
+  const Counter* extractions =
+      MetricsRegistry::Global().GetCounter("walrus.extract.count");
+  const uint64_t before = extractions->Value();
+  QueryOptions q;
+  q.tau = std::numeric_limits<double>::infinity();
+  EXPECT_EQ((*live)->RunQuery(dataset_[0].image, q).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*live)
+                ->RunSceneQuery(dataset_[0].image, PixelRect{0, 0, 64, 64}, q)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(extractions->Value(), before);
 }
 
 TEST_F(LiveIndexTest, SeededBasePlusInsertsAndDeletesMatchOffline) {

@@ -1,11 +1,15 @@
 #include "wavelet/sliding_window.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "wavelet/haar2d.h"
 #include "wavelet/naive_window.h"
 
@@ -89,7 +93,7 @@ TEST_P(DpVsNaiveSweep, DynamicProgrammingMatchesNaive) {
   std::vector<float> plane =
       RandomPlane(p.width, p.height, 1000 + p.width + p.omega + p.s + p.step);
   std::vector<WindowSignatureGrid> levels = ComputeSlidingWindowSignatures(
-      plane, p.width, p.height, p.s, p.omega, p.step);
+      plane, p.width, p.height, p.s, /*omega_min=*/2, p.omega, p.step);
   for (const WindowSignatureGrid& grid : levels) {
     WindowSignatureGrid naive = ComputeNaiveWindowSignatures(
         plane, p.width, p.height, p.s, grid.window_size, p.step);
@@ -107,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{32, 32, 8, 16, 4},   // s == omega/2
         SweepParam{32, 32, 16, 16, 8},  // s == omega (full transform)
         SweepParam{64, 64, 2, 64, 16},  // large step
-        SweepParam{40, 24, 2, 8, 1}));  // non-power-of-two image dims
+        SweepParam{40, 24, 2, 8, 1},    // non-power-of-two image dims
+        SweepParam{24, 40, 1, 16, 2})); // s == 1: window averages only
 
 TEST(SlidingWindow, SignatureMatchesDownsampledWindowTransform) {
   // A 2x2 signature of any window is exactly the Haar transform of the
@@ -172,10 +177,91 @@ TEST(SlidingWindow, ScaledObjectKeepsSignature) {
   }
 }
 
+void ExpectGridsBitEqual(const WindowSignatureGrid& a,
+                         const WindowSignatureGrid& b) {
+  ASSERT_EQ(a.window_size, b.window_size);
+  ASSERT_EQ(a.step, b.step);
+  ASSERT_EQ(a.nx, b.nx);
+  ASSERT_EQ(a.ny, b.ny);
+  ASSERT_EQ(a.sig_n, b.sig_n);
+  ASSERT_EQ(a.data.size(), b.data.size());
+  for (size_t i = 0; i < a.data.size(); ++i) {
+    // Bitwise: signed zeros and every rounding must agree.
+    ASSERT_EQ(std::bit_cast<uint32_t>(a.data[i]),
+              std::bit_cast<uint32_t>(b.data[i]))
+        << "float " << i << " of window size " << a.window_size;
+  }
+}
+
+struct ReducedLevelParam {
+  int width;
+  int height;
+  int omega_min;
+  int omega_max;
+};
+
+class ReducedScaffolding
+    : public ::testing::TestWithParam<ReducedLevelParam> {};
+
+TEST_P(ReducedScaffolding, KeptLevelsBitEqualTheFullSweep) {
+  // Levels below omega_min keep only the block the next level reads; every
+  // level from omega_min up must come out bit for bit as in the full sweep
+  // (omega_min == 2, every level at full min(omega, s) size), at every ISA
+  // level.
+  const ReducedLevelParam p = GetParam();
+  std::vector<float> plane = RandomPlane(p.width, p.height, 77 + p.width);
+  // Exact zeros and negative values exercise signed-zero and sign handling.
+  for (size_t i = 0; i < plane.size(); i += 7) plane[i] = 0.0f;
+  for (size_t i = 3; i < plane.size(); i += 11) plane[i] = -plane[i];
+  for (int l = 0; l <= static_cast<int>(simd::MaxSupportedIsa()); ++l) {
+    simd::TestOnlySetIsa(static_cast<simd::IsaLevel>(l));
+    const std::string isa = simd::IsaName(static_cast<simd::IsaLevel>(l));
+    for (int s : {1, 2, 4, 8}) {
+      if (s > p.omega_max) continue;
+      for (int t : {1, 2, 4, 8}) {
+        SCOPED_TRACE("isa=" + isa + " s=" + std::to_string(s) +
+                     " t=" + std::to_string(t));
+        std::vector<WindowSignatureGrid> full = ComputeSlidingWindowSignatures(
+            plane, p.width, p.height, s, 2, p.omega_max, t);
+        std::vector<WindowSignatureGrid> kept = ComputeSlidingWindowSignatures(
+            plane, p.width, p.height, s, p.omega_min, p.omega_max, t);
+        const size_t skipped = full.size() - kept.size();
+        ASSERT_EQ(full[skipped].window_size, p.omega_min);
+        for (size_t k = 0; k < kept.size(); ++k) {
+          ExpectGridsBitEqual(kept[k], full[skipped + k]);
+        }
+        ExpectGridsBitEqual(
+            ComputeSlidingWindowSignaturesAt(plane, p.width, p.height, s,
+                                             p.omega_max, t),
+            full.back());
+      }
+    }
+  }
+  simd::TestOnlyResetIsa();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, ReducedScaffolding,
+    ::testing::Values(ReducedLevelParam{32, 32, 2, 32},   // nothing reduced
+                      ReducedLevelParam{40, 24, 8, 16},   // non-square, npot
+                      ReducedLevelParam{37, 45, 16, 16},  // odd sides
+                      ReducedLevelParam{70, 66, 4, 64},   // omega_min < max
+                      ReducedLevelParam{64, 64, 64, 64}));
+
+TEST(SlidingWindow, ReturnsOnlyLevelsFromOmegaMin) {
+  std::vector<float> plane = RandomPlane(64, 32, 56);
+  std::vector<WindowSignatureGrid> levels =
+      ComputeSlidingWindowSignatures(plane, 64, 32, 4, 8, 32, 4);
+  ASSERT_EQ(levels.size(), 3u);
+  EXPECT_EQ(levels[0].window_size, 8);
+  EXPECT_EQ(levels[0].sig_n, 4);
+  EXPECT_EQ(levels[2].window_size, 32);
+}
+
 TEST(SlidingWindow, LevelsCoverAllPowersOfTwo) {
   std::vector<float> plane = RandomPlane(64, 32, 55);
   std::vector<WindowSignatureGrid> levels =
-      ComputeSlidingWindowSignatures(plane, 64, 32, 2, 16, 4);
+      ComputeSlidingWindowSignatures(plane, 64, 32, 2, 2, 16, 4);
   ASSERT_EQ(levels.size(), 4u);
   int expected_size = 2;
   for (const WindowSignatureGrid& grid : levels) {
