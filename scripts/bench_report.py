@@ -64,6 +64,26 @@ def headline_server_c10k(report):
     )
 
 
+def headline_paged_tree(report):
+    rows = {(r["corpus"], r["backend"]): r for r in report["rows"]}
+    paged = rows[("table1", "paged")]
+    memory = rows[("table1", "in-memory")]
+    synthetic = rows[("synthetic", "paged")]
+    return (
+        f"paged probe p50 {paged['probe_p50_ms']:.3f} ms vs in-memory "
+        f"{memory['probe_p50_ms']:.3f} ms; paged tree resident "
+        f"{synthetic['resident_tree_bytes_per_region']:.0f} B/region at "
+        f"{synthetic['entries']} entries, open "
+        f"{synthetic['open_seconds']:.2f} s"
+    )
+
+
+def workload_paged_tree(report):
+    p = report["params"]
+    return (f"{p['images']} images ({p['regions']} regions) + "
+            f"{p['synthetic_entries']} synthetic entries")
+
+
 def workload_images(report):
     return f"{report['params']['images']} images"
 
@@ -95,6 +115,14 @@ SCHEMAS = {
          "nodes_visited"},
         workload_images,
         headline_batched_probe,
+    ),
+    "paged_tree": (
+        {"images", "regions", "synthetic_entries", "epsilon", "queries",
+         "repetitions"},
+        {"corpus", "backend", "entries", "probe_p50_ms", "probe_p99_ms",
+         "open_seconds", "resident_tree_bytes_per_region"},
+        workload_paged_tree,
+        headline_paged_tree,
     ),
     "simd_kernels": (
         {"dim", "batch_count", "max_isa"},

@@ -275,30 +275,32 @@ Result<WalrusParams> DeserializeParams(BinaryReader* reader) {
 
 Status WalrusIndex::ProbeRange(
     const Rect& query,
-    const std::function<bool(const Rect&, uint64_t)>& visitor) const {
-  if (disk_tree_.has_value()) {
-    return disk_tree_->RangeSearchVisit(query, visitor);
-  }
-  tree_.RangeSearchVisit(query, visitor);
+    const std::function<bool(const Rect&, uint64_t)>& visitor,
+    int64_t* nodes_visited) const {
+  const int64_t visited = disk_tree_.has_value()
+                              ? disk_tree_->RangeSearchVisit(query, visitor)
+                              : tree_.RangeSearchVisit(query, visitor);
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
 }
 
 Status WalrusIndex::ProbeRangeBatch(
     const std::vector<Rect>& probes,
-    const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
-  if (disk_tree_.has_value()) {
-    return disk_tree_->RangeQueryBatch(probes, visitor);
-  }
-  tree_.RangeQueryBatch(probes, visitor);
+    const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+    int64_t* nodes_visited) const {
+  const int64_t visited = disk_tree_.has_value()
+                              ? disk_tree_->RangeQueryBatch(probes, visitor)
+                              : tree_.RangeQueryBatch(probes, visitor);
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
 }
 
 Result<std::vector<std::pair<uint64_t, double>>> WalrusIndex::ProbeNearest(
-    const std::vector<float>& point, int k) const {
+    const std::vector<float>& point, int k, int64_t* nodes_visited) const {
   if (disk_tree_.has_value()) {
-    return disk_tree_->NearestNeighbors(point, k);
+    return disk_tree_->NearestNeighbors(point, k, nodes_visited);
   }
-  return tree_.NearestNeighbors(point, k);
+  return tree_.NearestNeighbors(point, k, nodes_visited);
 }
 
 std::vector<std::pair<Rect, uint64_t>> WalrusIndex::CatalogEntries() const {
@@ -391,7 +393,7 @@ Status WalrusIndex::ValidateConsistency() const {
           " entries, catalog has " + std::to_string(expected.size()) +
           " regions");
     }
-    WALRUS_RETURN_IF_ERROR(disk_tree_->RangeSearchVisit(everything, visitor));
+    disk_tree_->RangeSearchVisit(everything, visitor);
   } else {
     WALRUS_RETURN_IF_ERROR(tree_.Validate());
     if (tree_.size() != static_cast<int64_t>(expected.size())) {

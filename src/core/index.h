@@ -59,16 +59,15 @@ class WalrusIndex {
   const DiskRStarTree* disk_tree() const {
     return disk_tree_.has_value() ? &*disk_tree_ : nullptr;
   }
-  /// Mutable access to the paged backend (cache-capacity tuning).
-  DiskRStarTree* disk_tree() {
-    return disk_tree_.has_value() ? &*disk_tree_ : nullptr;
-  }
 
   /// Region-signature probe: streams every indexed region whose rect
-  /// intersects `query` (in-memory or paged backend).
+  /// intersects `query` (in-memory or paged backend). `nodes_visited`,
+  /// here and below, receives the tree nodes this call visited (for the
+  /// paged backend, its page reads), exact under concurrent queries.
   [[nodiscard]] Status ProbeRange(
       const Rect& query,
-      const std::function<bool(const Rect&, uint64_t)>& visitor) const;
+      const std::function<bool(const Rect&, uint64_t)>& visitor,
+      int64_t* nodes_visited = nullptr) const;
 
   /// Batched multi-probe: answers all query-region probes in one shared
   /// tree traversal (see RStarTree::RangeQueryBatch). The visitor's first
@@ -77,11 +76,13 @@ class WalrusIndex {
   /// probe, grouped by node rather than by probe.
   [[nodiscard]] Status ProbeRangeBatch(
       const std::vector<Rect>& probes,
-      const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
+      const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+      int64_t* nodes_visited = nullptr) const;
 
   /// k nearest region signatures to `point` (centroid mode).
   [[nodiscard]] Result<std::vector<std::pair<uint64_t, double>>> ProbeNearest(
-      const std::vector<float>& point, int k) const;
+      const std::vector<float>& point, int k,
+      int64_t* nodes_visited = nullptr) const;
 
   /// Number of indexed images.
   size_t ImageCount() const { return catalog_.size(); }
@@ -153,21 +154,22 @@ class WalrusIndex {
 
   /// Persists with a disk-resident page tree instead of the serialized
   /// in-memory tree: `<path_prefix>.catalog`, `<path_prefix>.pmeta`
-  /// (params) and `<path_prefix>.ptree` (one R-tree node per page). An
-  /// index opened with OpenPaged answers queries by reading tree pages
-  /// through an LRU cache -- the paper's "disk-based index" deployment.
+  /// (params) and `<path_prefix>.ptree` (one R-tree node per page) -- the
+  /// paper's "disk-based index" deployment. An index opened with
+  /// OpenPaged answers queries from the tree decoded into memory at open.
   [[nodiscard]] Status SavePaged(const std::string& path_prefix) const;
 
-  /// Opens a paged index written by SavePaged. The returned index is
-  /// read-only: AddImage/RemoveImage on it fail the id checks as usual but
-  /// the page tree never changes.
+  /// Opens a paged index written by SavePaged. The page tree is loaded
+  /// and checked once (DiskRStarTree::Open), so a corrupt tree page is
+  /// refused here. The returned index is read-only: AddImage/RemoveImage
+  /// on it fail the id checks as usual but the page tree never changes.
   [[nodiscard]] static Result<WalrusIndex> OpenPaged(
       const std::string& path_prefix);
 
   /// Deep cross-layer validation: the catalog's own invariants
   /// (Catalog::Validate), the spatial backend's own invariants
-  /// (RStarTree::Validate or DiskRStarTree::Validate, including the page
-  /// checksum sweep when paged), and the bridge between them -- every
+  /// (RStarTree::Validate or DiskRStarTree::Validate, whose page checksums
+  /// were checked at open), and the bridge between them -- every
   /// region signature in the catalog must appear in the tree exactly once
   /// with the same rect and payload, and vice versa. O(index size);
   /// invoked from tests and, when DeepChecksEnabled(), after mutations.

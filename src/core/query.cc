@@ -72,22 +72,20 @@ struct QueryPathMetrics {
   }
 };
 
-/// Paged-backend IO counters at a point in time (for per-query deltas).
-struct DiskCounters {
-  int64_t pages_read = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-
-  static DiskCounters Read(const DiskRStarTree* disk) {
-    DiskCounters c;
-    if (disk != nullptr) {
-      c.pages_read = disk->pages_read();
-      c.cache_hits = disk->cache_hits();
-      c.cache_misses = disk->cache_misses();
-    }
-    return c;
+/// Records a probe stage's tree work in `diag`: in-memory node visits as
+/// nodes_visited, paged ones as page reads, every one of them served from
+/// the resident arena (a cache hit). Counts come from the traversals this
+/// query ran, so they are exact under concurrent queries.
+void RecordTreeWork(const WalrusIndex& index, int64_t visited,
+                    ProbeDiagnostics* diag) {
+  if (index.is_paged()) {
+    diag->pages_read = visited;
+    diag->cache_hits = visited;
+    diag->cache_misses = 0;
+  } else {
+    diag->nodes_visited = visited;
   }
-};
+}
 
 /// One accepted probe hit, recorded flat during traversal (a plain vector
 /// push per hit; the by-image grouping happens once at the end, not per
@@ -169,8 +167,6 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
     const QueryOptions& options, ProbeDiagnostics* diag, QueryTrace* trace) {
   const bool use_bbox =
       index.params().signature_kind == RegionSignatureKind::kBoundingBox;
-  const bool paged = index.is_paged();
-  const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
   int64_t nodes_visited = 0;
   int64_t regions_retrieved = 0;
 
@@ -228,24 +224,28 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
       probes.push_back(q.IndexRect(use_bbox).Expanded(options.epsilon));
     }
     batch_size->Observe(static_cast<double>(probes.size()));
-    WALRUS_RETURN_IF_ERROR(index.ProbeRangeBatch(
-        probes, [&](int qi, const Rect& rect, uint64_t payload) {
-          accept(static_cast<size_t>(qi), rect, payload);
-          return true;
-        }));
     // One traversal for the whole batch: the count is deduplicated nodes,
     // not a per-probe sum.
-    if (!paged) nodes_visited = index.tree().last_nodes_visited();
+    WALRUS_RETURN_IF_ERROR(index.ProbeRangeBatch(
+        probes,
+        [&](int qi, const Rect& rect, uint64_t payload) {
+          accept(static_cast<size_t>(qi), rect, payload);
+          return true;
+        },
+        &nodes_visited));
   } else {
     for (size_t qi = 0; qi < query_regions.size(); ++qi) {
       const Region& q = query_regions[qi];
       Rect probe = q.IndexRect(use_bbox).Expanded(options.epsilon);
-      WALRUS_RETURN_IF_ERROR(
-          index.ProbeRange(probe, [&](const Rect& rect, uint64_t payload) {
+      int64_t visited = 0;
+      WALRUS_RETURN_IF_ERROR(index.ProbeRange(
+          probe,
+          [&](const Rect& rect, uint64_t payload) {
             accept(qi, rect, payload);
             return true;
-          }));
-      if (!paged) nodes_visited += index.tree().last_nodes_visited();
+          },
+          &visited));
+      nodes_visited += visited;
     }
   }
 
@@ -274,11 +274,7 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
 
   if (diag != nullptr) {
     diag->regions_retrieved = regions_retrieved;
-    diag->nodes_visited = nodes_visited;
-    const DiskCounters disk_after = DiskCounters::Read(index.disk_tree());
-    diag->pages_read = disk_after.pages_read - disk_before.pages_read;
-    diag->cache_hits = disk_after.cache_hits - disk_before.cache_hits;
-    diag->cache_misses = disk_after.cache_misses - disk_before.cache_misses;
+    RecordTreeWork(index, nodes_visited, diag);
     diag->filter_seconds = filter_seconds;
     diag->prefilter_candidates_in = filter_counters.candidates_in;
     diag->prefilter_pruned = filter_counters.hamming_pruned;
@@ -291,15 +287,15 @@ Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
 ProbeNearestPerRegion(const WalrusIndex& index,
                       const std::vector<Region>& query_regions, int k,
                       ProbeDiagnostics* diag) {
-  const bool paged = index.is_paged();
-  const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
   int64_t nodes_visited = 0;
 
   std::vector<std::vector<std::pair<uint64_t, double>>> neighbors;
   neighbors.reserve(query_regions.size());
   for (const Region& q : query_regions) {
-    WALRUS_ASSIGN_OR_RETURN(auto found, index.ProbeNearest(q.centroid, k));
-    if (!paged) nodes_visited += index.tree().last_nodes_visited();
+    int64_t visited = 0;
+    WALRUS_ASSIGN_OR_RETURN(auto found,
+                            index.ProbeNearest(q.centroid, k, &visited));
+    nodes_visited += visited;
     neighbors.push_back(std::move(found));
   }
 
@@ -309,11 +305,7 @@ ProbeNearestPerRegion(const WalrusIndex& index,
       retrieved += static_cast<int64_t>(per_region.size());
     }
     diag->regions_retrieved = retrieved;
-    diag->nodes_visited = nodes_visited;
-    const DiskCounters disk_after = DiskCounters::Read(index.disk_tree());
-    diag->pages_read = disk_after.pages_read - disk_before.pages_read;
-    diag->cache_hits = disk_after.cache_hits - disk_before.cache_hits;
-    diag->cache_misses = disk_after.cache_misses - disk_before.cache_misses;
+    RecordTreeWork(index, nodes_visited, diag);
   }
   return neighbors;
 }

@@ -120,11 +120,12 @@ struct QueryStats {
   int64_t prefilter_pruned = 0;
   int64_t prefilter_candidates_out = 0;
 
-  /// Index-backend work done by this query's probes. For the in-memory
-  /// tree nodes_visited counts R*-tree nodes touched; for a paged index
-  /// pages_read / cache_hits / cache_misses are the page-IO deltas (under
-  /// concurrent queries the per-query attribution is approximate; the
-  /// process-wide truth lives in the metrics registry).
+  /// Index-backend work done by this query's probes, counted by the
+  /// traversals the query itself ran (exact under concurrent queries).
+  /// For the in-memory tree nodes_visited counts R*-tree nodes touched;
+  /// for a paged index pages_read counts tree pages read. Paged trees are
+  /// resident after open, so every page read is a cache hit: cache_hits
+  /// equals pages_read and cache_misses is 0.
   int64_t nodes_visited = 0;
   int64_t pages_read = 0;
   int64_t cache_hits = 0;

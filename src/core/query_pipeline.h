@@ -35,8 +35,7 @@ struct ProbeDiagnostics {
   int64_t regions_retrieved = 0;
   /// In-memory tree nodes touched (0 for paged indexes).
   int64_t nodes_visited = 0;
-  /// Paged-backend IO deltas (0 for in-memory indexes; approximate under
-  /// concurrent queries, see QueryStats).
+  /// Paged-backend page reads (0 for in-memory indexes; see QueryStats).
   int64_t pages_read = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;

@@ -1,6 +1,9 @@
 #include "spatial/hilbert.h"
 
 #include <algorithm>
+#include <limits>
+
+#include "common/check.h"
 
 namespace walrus {
 
@@ -37,6 +40,35 @@ uint64_t HilbertProbeKey(float cx, float cy, float min_v, float max_v) {
     return static_cast<uint32_t>(q);
   };
   return HilbertIndex2D(quantize(cx), quantize(cy), 16);
+}
+
+std::vector<int> HilbertProbeOrder(const std::vector<Rect>& probes, int dim) {
+  std::vector<int> order;
+  order.reserve(probes.size());
+  for (int p = 0; p < static_cast<int>(probes.size()); ++p) {
+    if (probes[p].IsEmpty()) continue;
+    WALRUS_CHECK_EQ(probes[p].dim(), dim);
+    order.push_back(p);
+  }
+  if (order.size() <= 1 || dim < 2) return order;
+  float min_v = std::numeric_limits<float>::max();
+  float max_v = std::numeric_limits<float>::lowest();
+  for (int p : order) {
+    for (int d = 0; d < 2; ++d) {
+      const float c = 0.5f * (probes[p].lo(d) + probes[p].hi(d));
+      min_v = std::min(min_v, c);
+      max_v = std::max(max_v, c);
+    }
+  }
+  std::vector<uint64_t> keys(probes.size());
+  for (int p : order) {
+    keys[p] = HilbertProbeKey(0.5f * (probes[p].lo(0) + probes[p].hi(0)),
+                              0.5f * (probes[p].lo(1) + probes[p].hi(1)),
+                              min_v, max_v);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](int a, int b) { return keys[a] < keys[b]; });
+  return order;
 }
 
 }  // namespace walrus

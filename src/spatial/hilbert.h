@@ -2,6 +2,9 @@
 #define WALRUS_SPATIAL_HILBERT_H_
 
 #include <cstdint>
+#include <vector>
+
+#include "spatial/rect.h"
 
 namespace walrus {
 
@@ -17,6 +20,13 @@ uint64_t HilbertIndex2D(uint32_t x, uint32_t y, int order);
 /// a 2^16 grid. Signature dims beyond the first two contribute nothing --
 /// the sort only needs locality, not a total spatial order.
 uint64_t HilbertProbeKey(float cx, float cy, float min_v, float max_v);
+
+/// Visit order of a batched multi-probe: the indices of the non-empty
+/// `probes` (empty probes match nothing), stably sorted by the
+/// HilbertProbeKey of their centers over the probes' joint center range
+/// (dims >= 2; a 1-d batch keeps input order). Every non-empty probe must
+/// have dimension `dim` (checked).
+std::vector<int> HilbertProbeOrder(const std::vector<Rect>& probes, int dim);
 
 }  // namespace walrus
 

@@ -72,6 +72,17 @@ void Rect::ExpandToInclude(const float* point, int n) {
   }
 }
 
+void Rect::AssignFromPlanes(const float* lo, const float* hi, size_t stride,
+                            int dim) {
+  lo_.resize(dim);
+  hi_.resize(dim);
+  for (int d = 0; d < dim; ++d) {
+    lo_[d] = lo[d * stride];
+    hi_[d] = hi[d * stride];
+  }
+  empty_ = false;
+}
+
 Rect Rect::Expanded(float epsilon) const {
   WALRUS_CHECK(!empty_);
   Rect r = *this;

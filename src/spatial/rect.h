@@ -1,6 +1,7 @@
 #ifndef WALRUS_SPATIAL_RECT_H_
 #define WALRUS_SPATIAL_RECT_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/logging.h"
@@ -43,6 +44,13 @@ class Rect {
   /// Pointer overload (`point` holds `n` floats): grows in place without a
   /// temporary vector (region assembly calls this once per window).
   void ExpandToInclude(const float* point, int n);
+
+  /// Overwrites this rect with the box whose bound d is lo[d * stride] /
+  /// hi[d * stride]: one entry of an SoA block (common/simd.h). Reuses the
+  /// existing storage, so a tree scan can hand every hit to its visitor
+  /// through one scratch Rect without allocating.
+  void AssignFromPlanes(const float* lo, const float* hi, size_t stride,
+                        int dim);
 
   /// Returns a copy grown by `epsilon` on every side (Minkowski expansion;
   /// this is how Definition 4.1's epsilon-envelope probe is executed).

@@ -604,7 +604,7 @@ void RStarTree::CondenseTree(Node* leaf) {
   }
 }
 
-void RStarTree::RangeSearchVisit(
+int64_t RStarTree::RangeSearchVisit(
     const Rect& query,
     const std::function<bool(const Rect&, uint64_t)>& visitor) const {
   WALRUS_CHECK_EQ(query.dim(), dim_);
@@ -626,7 +626,7 @@ void RStarTree::RangeSearchVisit(
         if (!visitor(e.rect, e.payload)) {
           last_nodes_visited_.store(visited, std::memory_order_relaxed);
           nodes->Increment(static_cast<uint64_t>(visited));
-          return;
+          return visited;
         }
       } else {
         stack.push_back(e.child.get());
@@ -635,9 +635,10 @@ void RStarTree::RangeSearchVisit(
   }
   last_nodes_visited_.store(visited, std::memory_order_relaxed);
   nodes->Increment(static_cast<uint64_t>(visited));
+  return visited;
 }
 
-void RStarTree::RangeQueryBatch(
+int64_t RStarTree::RangeQueryBatch(
     const std::vector<Rect>& probes,
     const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
   static Counter* const batch_probes =
@@ -656,33 +657,8 @@ void RStarTree::RangeQueryBatch(
 
   // Probe visit order: Hilbert on the first two center dimensions, so that
   // probes adjacent in signature space stay adjacent in active sets.
-  std::vector<int> order;
-  order.reserve(probes.size());
-  for (int p = 0; p < static_cast<int>(probes.size()); ++p) {
-    if (probes[p].IsEmpty()) continue;  // empty probes match nothing
-    WALRUS_CHECK_EQ(probes[p].dim(), dim_);
-    order.push_back(p);
-  }
-  if (order.empty()) return;
-  if (order.size() > 1 && dim_ >= 2) {
-    float min_v = std::numeric_limits<float>::max();
-    float max_v = std::numeric_limits<float>::lowest();
-    for (int p : order) {
-      for (int d = 0; d < 2; ++d) {
-        const float c = 0.5f * (probes[p].lo(d) + probes[p].hi(d));
-        min_v = std::min(min_v, c);
-        max_v = std::max(max_v, c);
-      }
-    }
-    std::vector<uint64_t> keys(probes.size());
-    for (int p : order) {
-      keys[p] = HilbertProbeKey(0.5f * (probes[p].lo(0) + probes[p].hi(0)),
-                                0.5f * (probes[p].lo(1) + probes[p].hi(1)),
-                                min_v, max_v);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](int a, int b) { return keys[a] < keys[b]; });
-  }
+  std::vector<int> order = HilbertProbeOrder(probes, dim_);
+  if (order.empty()) return 0;
 
   const simd::KernelTable& kern = simd::Active();
   // Active sets live in one append-only arena; each frame references a
@@ -707,6 +683,7 @@ void RStarTree::RangeQueryBatch(
   const auto finish = [&] {
     last_nodes_visited_.store(visited, std::memory_order_relaxed);
     nodes->Increment(static_cast<uint64_t>(visited));
+    return visited;
   };
 
   while (!stack.empty()) {
@@ -729,8 +706,7 @@ void RStarTree::RangeQueryBatch(
                                    ent.rect.hi().data(), probe.lo().data(),
                                    probe.hi().data(), dim_)) {
             if (!visitor(p, ent.rect, ent.payload)) {
-              finish();
-              return;
+              return finish();
             }
           }
         }
@@ -775,8 +751,7 @@ void RStarTree::RangeQueryBatch(
             bits &= bits - 1;
             const Entry& ent = node->entries[e];
             if (!visitor(p, ent.rect, ent.payload)) {
-              finish();
-              return;
+              return finish();
             }
           }
         }
@@ -813,7 +788,7 @@ void RStarTree::RangeQueryBatch(
       }
     }
   }
-  finish();
+  return finish();
 }
 
 std::vector<uint64_t> RStarTree::RangeSearch(const Rect& query) const {
@@ -826,7 +801,7 @@ std::vector<uint64_t> RStarTree::RangeSearch(const Rect& query) const {
 }
 
 std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
-    const std::vector<float>& point, int k) const {
+    const std::vector<float>& point, int k, int64_t* nodes_visited) const {
   WALRUS_CHECK_EQ(static_cast<int>(point.size()), dim_);
   WALRUS_CHECK_GE(k, 1);
   static Counter* const probes =
@@ -878,6 +853,7 @@ std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
   }
   last_nodes_visited_.store(visited, std::memory_order_relaxed);
   nodes->Increment(static_cast<uint64_t>(visited));
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return result;
 }
 

@@ -76,8 +76,8 @@ class RStarTree {
   std::vector<uint64_t> RangeSearch(const Rect& query) const;
 
   /// Like RangeSearch but streams results to `visitor`; return false from
-  /// the visitor to stop early.
-  void RangeSearchVisit(
+  /// the visitor to stop early. Returns the nodes this call visited.
+  int64_t RangeSearchVisit(
       const Rect& query,
       const std::function<bool(const Rect&, uint64_t)>& visitor) const;
 
@@ -96,19 +96,23 @@ class RStarTree {
   /// though the delivery ORDER differs (grouped by node, not by probe).
   /// Returning false aborts the entire batch. Thread-safe against
   /// concurrent read-only searches: all traversal state is call-local.
-  void RangeQueryBatch(
+  /// Returns the nodes this call visited (each node once per batch).
+  int64_t RangeQueryBatch(
       const std::vector<Rect>& probes,
       const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
 
   /// The k entries whose rects minimize the distance to `point`
   /// (min-distance best-first search). Returns (payload, distance) pairs in
-  /// ascending distance order.
+  /// ascending distance order. `nodes_visited`, when non-null, receives
+  /// the nodes this call visited.
   std::vector<std::pair<uint64_t, double>> NearestNeighbors(
-      const std::vector<float>& point, int k) const;
+      const std::vector<float>& point, int k,
+      int64_t* nodes_visited = nullptr) const;
 
   /// Number of tree nodes visited by the last RangeSearch / NearestNeighbors
-  /// on this tree (diagnostics for the selectivity benchmark; with
-  /// concurrent readers it reflects whichever search finished last).
+  /// on this tree (diagnostics for single-caller benchmarks; with
+  /// concurrent readers it reflects whichever search finished last, so
+  /// per-query accounting uses the count each search returns).
   int64_t last_nodes_visited() const {
     return last_nodes_visited_.load(std::memory_order_relaxed);
   }

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <queue>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -18,16 +17,13 @@
 namespace walrus {
 namespace {
 
-/// Paged-backend IO counters. pages_read counts node fetches (cache or
-/// disk); hits/misses split them by whether the LRU page cache served the
-/// request.
+/// Paged-backend counters. pages_read counts node visits, all served from
+/// the resident arena.
 struct DiskRStarMetrics {
   Counter* range_probes;
   Counter* knn_probes;
   Counter* batch_probes;
   Counter* pages_read;
-  Counter* cache_hits;
-  Counter* cache_misses;
 
   static const DiskRStarMetrics& Get() {
     static const DiskRStarMetrics metrics = [] {
@@ -37,8 +33,6 @@ struct DiskRStarMetrics {
       m.knn_probes = registry.GetCounter("walrus.disk_rstar.knn_probes");
       m.batch_probes = registry.GetCounter("walrus.disk_rstar.batch_probes");
       m.pages_read = registry.GetCounter("walrus.disk_rstar.pages_read");
-      m.cache_hits = registry.GetCounter("walrus.disk_rstar.cache_hits");
-      m.cache_misses = registry.GetCounter("walrus.disk_rstar.cache_misses");
       return m;
     }();
     return metrics;
@@ -76,6 +70,21 @@ void PutF32At(std::vector<uint8_t>* page, size_t pos, float v) {
   }
 }
 
+uint64_t GetLeAt(const std::vector<uint8_t>& page, size_t pos, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(page[pos + i]) << (8 * i);
+  }
+  return v;
+}
+
+float GetF32At(const std::vector<uint8_t>& page, size_t pos) {
+  const uint32_t bits = static_cast<uint32_t>(GetLeAt(page, pos, 4));
+  float value;
+  std::memcpy(&value, &bits, 4);
+  return value;
+}
+
 /// Serializes one node into a fresh page image.
 std::vector<uint8_t> EncodeNode(uint32_t page_size, int dim, bool is_leaf,
                                 const std::vector<Rect>& rects,
@@ -99,15 +108,11 @@ std::vector<uint8_t> EncodeNode(uint32_t page_size, int dim, bool is_leaf,
   return page;
 }
 
-}  // namespace
-
-int DiskRStarTree::NodeCapacity() const {
-  return CapacityFor(page_size_, dim_);
-}
-
-Result<DiskRStarTree> DiskRStarTree::Build(
-    const std::string& path, int dim,
-    std::vector<std::pair<Rect, uint64_t>> entries, uint32_t page_size) {
+/// STR-packs `entries` into a new page file at `path` (page layout in
+/// disk_rstar.h).
+Status WriteTree(const std::string& path, int dim,
+                 std::vector<std::pair<Rect, uint64_t>> entries,
+                 uint32_t page_size) {
   if (dim < 1) return Status::InvalidArgument("disk rstar: dim must be >= 1");
   int capacity = CapacityFor(page_size, dim);
   if (capacity < 2) {
@@ -214,14 +219,26 @@ Result<DiskRStarTree> DiskRStarTree::Build(
   meta.PutU32(level.empty() ? 0 : level[0].page);
   WALRUS_ASSIGN_OR_RETURN(BlobRef meta_ref, file.WriteBlob(meta.buffer()));
   (void)meta_ref;
-  WALRUS_RETURN_IF_ERROR(file.Sync());
+  return file.Sync();
+}
 
-  DiskRStarTree tree(std::move(file));
-  tree.dim_ = dim;
-  tree.size_ = static_cast<int64_t>(entries.size());
-  tree.height_ = height;
-  tree.root_page_ = level.empty() ? 0 : level[0].page;
-  return tree;
+}  // namespace
+
+int DiskRStarTree::NodeCapacity() const {
+  return CapacityFor(page_size_, dim_);
+}
+
+size_t DiskRStarTree::ResidentBytes() const {
+  return nodes_.size() * sizeof(Node) +
+         (lo_.size() + hi_.size()) * sizeof(float) +
+         values_.size() * sizeof(uint64_t);
+}
+
+Result<DiskRStarTree> DiskRStarTree::Build(
+    const std::string& path, int dim,
+    std::vector<std::pair<Rect, uint64_t>> entries, uint32_t page_size) {
+  WALRUS_RETURN_IF_ERROR(WriteTree(path, dim, std::move(entries), page_size));
+  return Open(path);
 }
 
 Result<DiskRStarTree> DiskRStarTree::Open(const std::string& path) {
@@ -240,158 +257,173 @@ Result<DiskRStarTree> DiskRStarTree::Open(const std::string& path) {
   WALRUS_ASSIGN_OR_RETURN(uint32_t height, meta.GetU32());
   WALRUS_ASSIGN_OR_RETURN(uint32_t root_page, meta.GetU32());
   if (dim == 0 || dim > 4096) return Status::Corruption("disk rstar: dim");
-  if (CapacityFor(file.page_size(), static_cast<int>(dim)) < 2) {
+  const int capacity = CapacityFor(file.page_size(), static_cast<int>(dim));
+  if (capacity < 2) {
     return Status::Corruption("disk rstar: page/dim mismatch");
   }
-  DiskRStarTree tree(std::move(file));
+  // Leaf entries must fit in the pages (this also bounds the arena
+  // reservation below by the file size), and a tree of height h needs at
+  // least h node pages.
+  if (size > static_cast<uint64_t>(file.page_count()) * capacity ||
+      height > file.page_count()) {
+    return Status::Corruption("disk rstar: size or height exceeds the file");
+  }
+  if ((size == 0) != (height == 0)) {
+    return Status::Corruption("disk rstar: size " + std::to_string(size) +
+                              " with height " + std::to_string(height));
+  }
+  DiskRStarTree tree;
+  tree.page_size_ = file.page_size();
   tree.dim_ = static_cast<int>(dim);
   tree.size_ = static_cast<int64_t>(size);
   tree.height_ = static_cast<int>(height);
-  tree.root_page_ = root_page;
+  if (size > 0) WALRUS_RETURN_IF_ERROR(tree.Load(&file, root_page));
   return tree;
 }
 
-Result<DiskRStarTree::NodeRef> DiskRStarTree::ReadNode(
-    uint32_t page_id) const {
-  std::vector<uint8_t> page;
-  {
-    MutexLock lock(io_mutex_);
-    int64_t hits_before = file_.cache_hits();
-    WALRUS_ASSIGN_OR_RETURN(page, file_.ReadPage(page_id));
-    pages_read_.fetch_add(1, std::memory_order_relaxed);
-    const DiskRStarMetrics& metrics = DiskRStarMetrics::Get();
-    metrics.pages_read->Increment();
-    if (file_.cache_hits() > hits_before) {
-      metrics.cache_hits->Increment();
-    } else {
-      metrics.cache_misses->Increment();
+Status DiskRStarTree::Load(PageFile* file, uint32_t root_page) {
+  const uint32_t page_count = file->page_count();
+  const int capacity = NodeCapacity();
+  const size_t entry_bytes = EntryBytes(dim_);
+  // Leaf entries plus one entry per non-root node: reserved up front so
+  // the planes never reallocate (and transiently double) while loading.
+  const size_t max_entries = static_cast<size_t>(size_) + page_count;
+  lo_.reserve(max_entries * dim_);
+  hi_.reserve(max_entries * dim_);
+  values_.reserve(max_entries);
+
+  // Breadth first, so nodes_ comes out in level order. pages[n] is the
+  // page of nodes_[n]; a page id is checked and marked when first pushed.
+  std::vector<uint32_t> pages;
+  std::vector<bool> seen(page_count, false);
+  const auto push_page = [&](uint64_t page_id) -> Status {
+    if (page_id == 0 || page_id >= page_count) {
+      return Status::Corruption("disk rstar: child page id " +
+                                std::to_string(page_id) + " out of range");
     }
-  }
-  NodeRef node;
-  node.is_leaf = page[0] != 0;
-  uint16_t count = static_cast<uint16_t>(page[2]) |
-                   static_cast<uint16_t>(page[3]) << 8;
-  if (count > CapacityFor(page_size_, dim_)) {
-    return Status::Corruption("disk rstar: node overfull");
-  }
-  node.count = count;
-  // Transpose the entry-major page into dimension-major SoA planes as we
-  // decode: plane d of lo/hi holds bound d of all entries contiguously.
-  node.lo.resize(static_cast<size_t>(dim_) * count);
-  node.hi.resize(static_cast<size_t>(dim_) * count);
-  node.values.reserve(count);
-  size_t at = kNodeHeaderBytes;
-  const auto read_f32 = [&page](size_t pos) {
-    uint32_t bits = 0;
-    for (int b = 0; b < 4; ++b) {
-      bits |= static_cast<uint32_t>(page[pos + b]) << (8 * b);
+    if (seen[page_id]) {
+      return Status::Corruption("disk rstar: page " + std::to_string(page_id) +
+                                " reachable twice (cycle or shared child)");
     }
-    float value;
-    std::memcpy(&value, &bits, 4);
-    return value;
+    seen[page_id] = true;
+    pages.push_back(static_cast<uint32_t>(page_id));
+    return Status::OK();
   };
-  for (uint16_t i = 0; i < count; ++i) {
-    for (int d = 0; d < dim_; ++d) {
-      node.lo[static_cast<size_t>(d) * count + i] = read_f32(at);
-      at += 4;
+  WALRUS_RETURN_IF_ERROR(push_page(root_page));
+  int64_t leaf_entries = 0;
+  int depth = 1;  // root is depth 1; leaves must sit at depth == height_
+  size_t level_end = 1;
+  for (size_t n = 0; n < pages.size(); ++n) {
+    if (n == level_end) {
+      ++depth;
+      level_end = pages.size();
     }
-    for (int d = 0; d < dim_; ++d) {
-      node.hi[static_cast<size_t>(d) * count + i] = read_f32(at);
-      at += 4;
+    WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> page,
+                            file->ReadPage(pages[n]));
+    Node node;
+    node.is_leaf = page[0] != 0;
+    const int count = static_cast<int>(GetLeAt(page, 2, 2));
+    if (count == 0 || count > capacity) {
+      return Status::Corruption("disk rstar: page " + std::to_string(pages[n]) +
+                                " holds " + std::to_string(count) +
+                                " entries, capacity " +
+                                std::to_string(capacity));
     }
-    for (int d = 0; d < dim_; ++d) {
-      if (!(node.lo[static_cast<size_t>(d) * count + i] <=
-            node.hi[static_cast<size_t>(d) * count + i])) {
-        return Status::Corruption("disk rstar: inverted rect");
+    if (node.is_leaf != (depth == height_)) {
+      return Status::Corruption(
+          "disk rstar: " + std::string(node.is_leaf ? "leaf" : "internal") +
+          " node at depth " + std::to_string(depth) + ", tree height " +
+          std::to_string(height_));
+    }
+    if (values_.size() + count > std::numeric_limits<uint32_t>::max()) {
+      return Status::Corruption("disk rstar: too many entries");
+    }
+    node.entry = static_cast<uint32_t>(values_.size());
+    node.count = static_cast<uint16_t>(count);
+    // Transpose the entry-major page into the node's dimension-major
+    // planes: bound d of entry i lands at plane d, slot i.
+    const size_t base = lo_.size();
+    lo_.resize(base + static_cast<size_t>(dim_) * count);
+    hi_.resize(base + static_cast<size_t>(dim_) * count);
+    for (int i = 0; i < count; ++i) {
+      const size_t at = kNodeHeaderBytes + i * entry_bytes;
+      for (int d = 0; d < dim_; ++d) {
+        const float lo = GetF32At(page, at + 4 * d);
+        const float hi = GetF32At(page, at + 4 * (dim_ + d));
+        if (!(lo <= hi)) {
+          return Status::Corruption("disk rstar: inverted rect at page " +
+                                    std::to_string(pages[n]));
+        }
+        lo_[base + static_cast<size_t>(d) * count + i] = lo;
+        hi_[base + static_cast<size_t>(d) * count + i] = hi;
+      }
+      const uint64_t value = GetLeAt(page, at + 8 * dim_, 8);
+      if (node.is_leaf) {
+        values_.push_back(value);
+      } else {
+        values_.push_back(pages.size());  // the child's node index
+        WALRUS_RETURN_IF_ERROR(push_page(value));
       }
     }
-    uint64_t value = 0;
-    for (int b = 0; b < 8; ++b) {
-      value |= static_cast<uint64_t>(page[at + b]) << (8 * b);
-    }
-    at += 8;
-    node.values.push_back(value);
+    if (node.is_leaf) leaf_entries += count;
+    nodes_.push_back(node);
   }
-  return node;
-}
-
-Rect DiskRStarTree::NodeRef::RectAt(int i, int dim) const {
-  std::vector<float> rect_lo(dim), rect_hi(dim);
-  for (int d = 0; d < dim; ++d) {
-    rect_lo[d] = lo[static_cast<size_t>(d) * count + i];
-    rect_hi[d] = hi[static_cast<size_t>(d) * count + i];
+  if (leaf_entries != size_) {
+    return Status::Corruption("disk rstar: leaf entry count " +
+                              std::to_string(leaf_entries) +
+                              " != recorded size " + std::to_string(size_));
   }
-  return Rect::Bounds(std::move(rect_lo), std::move(rect_hi));
+  return Status::OK();
 }
 
 Status DiskRStarTree::Validate() const {
-  {
-    MutexLock lock(io_mutex_);
-    WALRUS_RETURN_IF_ERROR(file_.ValidateChecksums());
-  }
   if (size_ == 0) {
-    if (height_ != 0) {
+    if (height_ != 0 || !nodes_.empty()) {
       return Status::Internal("disk rstar: empty tree with height " +
                               std::to_string(height_));
     }
     return Status::OK();
   }
-  if (height_ < 1) {
+  if (height_ < 1 || nodes_.empty()) {
     return Status::Internal("disk rstar: nonempty tree with height " +
                             std::to_string(height_));
   }
-
-  struct Item {
-    uint32_t page;
-    int depth;  // root is depth 1; leaves must sit at depth == height_
-    Rect expected;
-    bool has_expected;
-  };
-  std::vector<Item> stack;
-  stack.push_back({root_page_, 1, Rect::Empty(dim_), false});
-  std::unordered_set<uint32_t> visited;
+  // Every internal entry's rect must equal the union of its child's
+  // entry rects (the probes prune on the stored rects).
+  std::vector<float> lo(dim_);
+  std::vector<float> hi(dim_);
   int64_t leaf_entries = 0;
-  while (!stack.empty()) {
-    Item item = std::move(stack.back());
-    stack.pop_back();
-    if (item.page == 0 || item.page >= page_count_) {
-      return Status::Internal("disk rstar: child page id " +
-                              std::to_string(item.page) + " out of range");
-    }
-    if (!visited.insert(item.page).second) {
-      return Status::Internal("disk rstar: page " + std::to_string(item.page) +
-                              " reachable twice (cycle or shared child)");
-    }
-    WALRUS_ASSIGN_OR_RETURN(NodeRef node, ReadNode(item.page));
-    if (node.count == 0) {
-      return Status::Internal("disk rstar: empty node at page " +
-                              std::to_string(item.page));
-    }
-    Rect bounds = Rect::Empty(dim_);
-    for (int i = 0; i < node.count; ++i) {
-      bounds.ExpandToInclude(node.RectAt(i, dim_));
-    }
-    if (item.has_expected && !(bounds == item.expected)) {
-      return Status::Internal(
-          "disk rstar: stored parent rect differs from child bounds union at "
-          "page " +
-          std::to_string(item.page));
-    }
+  for (const Node& node : nodes_) {
     if (node.is_leaf) {
-      if (item.depth != height_) {
-        return Status::Internal(
-            "disk rstar: leaf at depth " + std::to_string(item.depth) +
-            ", tree height " + std::to_string(height_));
-      }
       leaf_entries += node.count;
       continue;
     }
-    if (item.depth >= height_) {
-      return Status::Internal("disk rstar: internal node below leaf level");
-    }
     for (int i = 0; i < node.count; ++i) {
-      stack.push_back({static_cast<uint32_t>(node.values[i]), item.depth + 1,
-                       node.RectAt(i, dim_), true});
+      const uint64_t child_index = values_[node.entry + i];
+      if (child_index <= static_cast<uint64_t>(&node - nodes_.data()) ||
+          child_index >= nodes_.size()) {
+        return Status::Internal("disk rstar: child node index " +
+                                std::to_string(child_index) +
+                                " breaks level order");
+      }
+      const Node& child = nodes_[child_index];
+      const float* clo = lo_block(child);
+      const float* chi = hi_block(child);
+      for (int d = 0; d < dim_; ++d) {
+        const float* plo = clo + static_cast<size_t>(d) * child.count;
+        const float* phi = chi + static_cast<size_t>(d) * child.count;
+        lo[d] = *std::min_element(plo, plo + child.count);
+        hi[d] = *std::max_element(phi, phi + child.count);
+      }
+      for (int d = 0; d < dim_; ++d) {
+        const size_t slot = static_cast<size_t>(d) * node.count + i;
+        if (lo_block(node)[slot] != lo[d] || hi_block(node)[slot] != hi[d]) {
+          return Status::Internal(
+              "disk rstar: stored parent rect differs from child bounds "
+              "union at node " +
+              std::to_string(child_index));
+        }
+      }
     }
   }
   if (leaf_entries != size_) {
@@ -402,120 +434,83 @@ Status DiskRStarTree::Validate() const {
   return Status::OK();
 }
 
-Status DiskRStarTree::RangeSearchVisit(
+int64_t DiskRStarTree::RangeSearchVisit(
     const Rect& query,
     const std::function<bool(const Rect&, uint64_t)>& visitor) const {
   WALRUS_CHECK_EQ(query.dim(), dim_);
-  DiskRStarMetrics::Get().range_probes->Increment();
-  if (size_ == 0) return Status::OK();
-  const simd::KernelTable& kern = simd::Active();
-  std::vector<uint32_t> stack = {root_page_};
-  std::vector<uint64_t> mask;
-  while (!stack.empty()) {
-    uint32_t page_id = stack.back();
-    stack.pop_back();
-    WALRUS_ASSIGN_OR_RETURN(NodeRef node, ReadNode(page_id));
-    // The decoded node is already SoA: filter the whole node with one
-    // batch kernel call and walk the hit bits.
-    const int words = (node.count + 63) / 64;
-    mask.resize(words);
-    kern.batch_intersects(node.lo_planes(), node.hi_planes(), node.count,
-                          dim_, node.count, query.lo().data(),
-                          query.hi().data(), mask.data());
-    for (int w = 0; w < words; ++w) {
-      uint64_t bits = mask[w];
-      while (bits != 0) {
-        const int i = w * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (node.is_leaf) {
-          if (!visitor(node.RectAt(i, dim_), node.values[i])) {
-            return Status::OK();
-          }
-        } else {
-          stack.push_back(static_cast<uint32_t>(node.values[i]));
-        }
-      }
-    }
-  }
-  return Status::OK();
+  return Traverse({query}, [&visitor](int, const Rect& rect,
+                                      uint64_t payload) {
+    return visitor(rect, payload);
+  });
 }
 
-Status DiskRStarTree::RangeQueryBatch(
+int64_t DiskRStarTree::RangeQueryBatch(
     const std::vector<Rect>& probes,
     const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
   DiskRStarMetrics::Get().batch_probes->Increment();
+  return Traverse(probes, visitor);
+}
+
+int64_t DiskRStarTree::Traverse(
+    const std::vector<Rect>& probes,
+    const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
+  const DiskRStarMetrics& metrics = DiskRStarMetrics::Get();
   // A batch of N probes answers N range probes; keep the per-probe counter
   // meaningful regardless of traversal strategy.
-  DiskRStarMetrics::Get().range_probes->Increment(
-      static_cast<uint64_t>(probes.size()));
+  metrics.range_probes->Increment(static_cast<uint64_t>(probes.size()));
   static Histogram* const occupancy =
       MetricsRegistry::Global().GetHistogram("walrus.probe.batch_occupancy",
                                              ExponentialBuckets(1, 2, 12));
-  std::vector<int> order;
-  order.reserve(probes.size());
-  for (int p = 0; p < static_cast<int>(probes.size()); ++p) {
-    if (probes[p].IsEmpty()) continue;  // empty probes match nothing
-    WALRUS_CHECK_EQ(probes[p].dim(), dim_);
-    order.push_back(p);
-  }
-  if (order.empty() || size_ == 0) return Status::OK();
-  if (order.size() > 1 && dim_ >= 2) {
-    float min_v = std::numeric_limits<float>::max();
-    float max_v = std::numeric_limits<float>::lowest();
-    for (int p : order) {
-      for (int d = 0; d < 2; ++d) {
-        const float c = 0.5f * (probes[p].lo(d) + probes[p].hi(d));
-        min_v = std::min(min_v, c);
-        max_v = std::max(max_v, c);
-      }
-    }
-    std::vector<uint64_t> keys(probes.size());
-    for (int p : order) {
-      keys[p] = HilbertProbeKey(0.5f * (probes[p].lo(0) + probes[p].hi(0)),
-                                0.5f * (probes[p].lo(1) + probes[p].hi(1)),
-                                min_v, max_v);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](int a, int b) { return keys[a] < keys[b]; });
-  }
+  std::vector<int> order = HilbertProbeOrder(probes, dim_);
+  if (order.empty() || size_ == 0) return 0;
 
   const simd::KernelTable& kern = simd::Active();
   // Active sets live in one append-only arena; each frame references a
-  // slice (see RStarTree::RangeQueryBatch — same structure, but node pages
-  // decode straight into SoA planes so no packing step exists here).
+  // slice (see RStarTree::RangeQueryBatch -- same structure, but the
+  // nodes are already SoA blocks, so no packing step exists here).
   struct Frame {
-    uint32_t page;
+    uint32_t node;
     uint32_t begin;
     uint32_t len;
   };
   std::vector<int> arena = std::move(order);
   std::vector<Frame> stack;
-  stack.push_back({root_page_, 0, static_cast<uint32_t>(arena.size())});
+  stack.push_back({0, 0, static_cast<uint32_t>(arena.size())});
   std::vector<uint64_t> masks;  // probe-major: masks[pi * words + w]
   std::vector<Frame> pending;   // children of the current node, entry order
+  Rect hit;                     // scratch rect handed to the visitor
+  int64_t visited = 0;
+  const auto finish = [&] {
+    pages_read_->fetch_add(visited, std::memory_order_relaxed);
+    metrics.pages_read->Increment(static_cast<uint64_t>(visited));
+    return visited;
+  };
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
-    // One page fetch serves every active probe at this node.
-    WALRUS_ASSIGN_OR_RETURN(NodeRef node, ReadNode(frame.page));
+    // One node visit serves every active probe at this node.
+    const Node& node = nodes_[frame.node];
+    const float* lo = lo_block(node);
+    const float* hi = hi_block(node);
+    const uint64_t* values = values_.data() + node.entry;
+    ++visited;
     occupancy->Observe(static_cast<double>(frame.len));
-    if (node.count == 0) continue;
-    const int words = (node.count + 63) / 64;
+    const int count = node.count;
+    const int words = (count + 63) / 64;
     if (node.is_leaf) {
       masks.resize(words);
       for (uint32_t pi = 0; pi < frame.len; ++pi) {
         const int p = arena[frame.begin + pi];
-        kern.batch_intersects(node.lo_planes(), node.hi_planes(), node.count,
-                              dim_, node.count, probes[p].lo().data(),
-                              probes[p].hi().data(), masks.data());
+        kern.batch_intersects(lo, hi, count, dim_, count,
+                              probes[p].lo().data(), probes[p].hi().data(),
+                              masks.data());
         for (int w = 0; w < words; ++w) {
           uint64_t bits = masks[w];
           while (bits != 0) {
             const int i = w * 64 + std::countr_zero(bits);
             bits &= bits - 1;
-            if (!visitor(p, node.RectAt(i, dim_), node.values[i])) {
-              return Status::OK();
-            }
+            hit.AssignFromPlanes(lo + i, hi + i, count, dim_);
+            if (!visitor(p, hit, values[i])) return finish();
           }
         }
       }
@@ -523,13 +518,12 @@ Status DiskRStarTree::RangeQueryBatch(
       masks.resize(static_cast<size_t>(words) * frame.len);
       for (uint32_t pi = 0; pi < frame.len; ++pi) {
         const int p = arena[frame.begin + pi];
-        kern.batch_intersects(node.lo_planes(), node.hi_planes(), node.count,
-                              dim_, node.count, probes[p].lo().data(),
-                              probes[p].hi().data(),
+        kern.batch_intersects(lo, hi, count, dim_, count,
+                              probes[p].lo().data(), probes[p].hi().data(),
                               masks.data() + static_cast<size_t>(pi) * words);
       }
       pending.clear();
-      for (int i = 0; i < node.count; ++i) {
+      for (int i = 0; i < count; ++i) {
         const uint32_t begin = static_cast<uint32_t>(arena.size());
         const int w = i >> 6;
         const uint64_t bit = uint64_t{1} << (i & 63);
@@ -540,8 +534,7 @@ Status DiskRStarTree::RangeQueryBatch(
         }
         const uint32_t len = static_cast<uint32_t>(arena.size()) - begin;
         if (len > 0) {
-          pending.push_back(
-              {static_cast<uint32_t>(node.values[i]), begin, len});
+          pending.push_back({static_cast<uint32_t>(values[i]), begin, len});
         }
       }
       for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
@@ -549,58 +542,61 @@ Status DiskRStarTree::RangeQueryBatch(
       }
     }
   }
-  return Status::OK();
+  return finish();
 }
 
-Result<std::vector<uint64_t>> DiskRStarTree::RangeSearch(
-    const Rect& query) const {
+std::vector<uint64_t> DiskRStarTree::RangeSearch(const Rect& query) const {
   std::vector<uint64_t> out;
-  WALRUS_RETURN_IF_ERROR(RangeSearchVisit(
-      query, [&out](const Rect&, uint64_t payload) {
-        out.push_back(payload);
-        return true;
-      }));
+  RangeSearchVisit(query, [&out](const Rect&, uint64_t payload) {
+    out.push_back(payload);
+    return true;
+  });
   return out;
 }
 
-Result<std::vector<std::pair<uint64_t, double>>>
-DiskRStarTree::NearestNeighbors(const std::vector<float>& point,
-                                int k) const {
+std::vector<std::pair<uint64_t, double>> DiskRStarTree::NearestNeighbors(
+    const std::vector<float>& point, int k, int64_t* nodes_visited) const {
   WALRUS_CHECK_EQ(static_cast<int>(point.size()), dim_);
   WALRUS_CHECK_GE(k, 1);
-  DiskRStarMetrics::Get().knn_probes->Increment();
+  const DiskRStarMetrics& metrics = DiskRStarMetrics::Get();
+  metrics.knn_probes->Increment();
   std::vector<std::pair<uint64_t, double>> result;
-  if (size_ == 0) return result;
-
-  struct Item {
-    double dist;
-    bool is_entry;
-    uint64_t value;  // payload (entry) or page id (node)
-    bool operator>(const Item& other) const { return dist > other.dist; }
-  };
-  const simd::KernelTable& kern = simd::Active();
-  std::vector<double> dists;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0.0, false, root_page_});
-  while (!heap.empty() && static_cast<int>(result.size()) < k) {
-    Item item = heap.top();
-    heap.pop();
-    if (item.is_entry) {
-      result.emplace_back(item.value, std::sqrt(item.dist));
-      continue;
-    }
-    WALRUS_ASSIGN_OR_RETURN(NodeRef node,
-                            ReadNode(static_cast<uint32_t>(item.value)));
-    // SoA node: one batch kernel call scores every entry (bit-identical to
-    // per-entry MinSquaredDistance -- each lane runs the scalar dim loop).
-    dists.resize(node.count);
-    kern.batch_min_squared_distance(node.lo_planes(), node.hi_planes(),
-                                    node.count, dim_, node.count,
-                                    point.data(), dists.data());
-    for (int i = 0; i < node.count; ++i) {
-      heap.push({dists[i], node.is_leaf, node.values[i]});
+  int64_t visited = 0;
+  if (size_ > 0) {
+    struct Item {
+      double dist;
+      bool is_entry;
+      uint64_t value;  // payload (entry) or node index (node)
+      bool operator>(const Item& other) const { return dist > other.dist; }
+    };
+    const simd::KernelTable& kern = simd::Active();
+    std::vector<double> dists;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    heap.push({0.0, false, 0});
+    while (!heap.empty() && static_cast<int>(result.size()) < k) {
+      Item item = heap.top();
+      heap.pop();
+      if (item.is_entry) {
+        result.emplace_back(item.value, std::sqrt(item.dist));
+        continue;
+      }
+      const Node& node = nodes_[item.value];
+      ++visited;
+      // SoA node: one batch kernel call scores every entry (bit-identical
+      // to per-entry MinSquaredDistance -- each lane runs the scalar dim
+      // loop).
+      dists.resize(node.count);
+      kern.batch_min_squared_distance(lo_block(node), hi_block(node),
+                                      node.count, dim_, node.count,
+                                      point.data(), dists.data());
+      for (int i = 0; i < node.count; ++i) {
+        heap.push({dists[i], node.is_leaf, values_[node.entry + i]});
+      }
     }
   }
+  pages_read_->fetch_add(visited, std::memory_order_relaxed);
+  metrics.pages_read->Increment(static_cast<uint64_t>(visited));
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return result;
 }
 

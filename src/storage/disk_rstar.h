@@ -4,37 +4,49 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/sync.h"
 #include "spatial/rect.h"
 #include "storage/page_file.h"
 
 namespace walrus {
 
-/// Disk-resident R-tree for query serving: one node per PageFile page, read
-/// through the page file's LRU cache. The paper indexes region signatures
-/// in a "disk-based R*-tree" (section 5.3, via libGiST); this is that
-/// deployment shape -- queries touch only the pages along the search path
-/// instead of deserializing the whole tree into memory.
+/// Paged R-tree for query serving. The paper indexes region signatures in
+/// a "disk-based R*-tree" (section 5.3, via libGiST); on disk this tree is
+/// one node per PageFile page, STR-packed bottom-up like
+/// RStarTree::BulkLoad. It is immutable once built (WALRUS's index is
+/// build-once / query-many; mutations go through the in-memory RStarTree
+/// and a rebuild).
 ///
-/// The tree is immutable once built (WALRUS's index is build-once /
-/// query-many; mutations go through the in-memory RStarTree and a rebuild).
-/// Construction uses the same Sort-Tile-Recursive packing as
-/// RStarTree::BulkLoad, writing levels bottom-up.
+/// Open reads every node page exactly once -- PageFile::ReadPage checks
+/// each page's CRC-32 -- checks the structure (page ids in range and
+/// reached once, leaves exactly at height(), fill <= NodeCapacity(), no
+/// inverted rect, leaf entries summing to size()), decodes the pages into
+/// one resident arena and closes the file. A corrupt tree is therefore
+/// refused at open, never half-served. Queries run over the arena with no
+/// lock, no IO and no heap allocation per node or per hit. The arena costs
+/// about as many bytes as the tree's pages (DESIGN.md section 19), a
+/// fraction of the catalog a paged index already keeps resident.
 ///
-/// Thread safety: concurrent queries are supported; page reads are
-/// serialized by an internal mutex (the page cache is an LRU that mutates
-/// on every read, so even "read-only" probes are writes at this layer).
-/// The compiler enforces the discipline: `file_` is WALRUS_GUARDED_BY
-/// io_mutex_, so any path that touches the page file without the lock
-/// fails a -Wthread-safety build. The cache-counter accessors and
-/// SetCacheCapacity take the same mutex, so polling diagnostics while
-/// queries run is safe; pages_read() is a relaxed atomic and never blocks
-/// a query. Moving the tree takes both objects' locks, but a moved-from
-/// tree must no longer be queried.
+/// Arena layout: nodes_ in level order (root first). Node n's entries are
+/// entries [entry, entry + count) of the tree; their rects form two
+/// dimension-major SoA blocks, lo_/hi_ from entry * dim, where plane d
+/// holds bound d of all `count` entries contiguously (the layout the
+/// batch kernels of common/simd.h read with stride = count). values_
+/// holds each entry's leaf payload or, for an internal entry, its child's
+/// 32-bit node index.
+///
+/// IO counters: every node visit is a page read served from memory, so
+/// pages_read() counts node visits, cache_hits() == pages_read() and
+/// cache_misses() == 0. Each query also returns the nodes it visited, so
+/// per-query counts stay exact under concurrency; the tree-wide counter
+/// is a relaxed atomic for diagnostics.
+///
+/// Thread safety: immutable after Open, so any number of threads may query
+/// concurrently. A moved-from tree must no longer be used.
 ///
 /// Page layout (little endian):
 ///   u8  is_leaf, u8 reserved, u16 entry_count, u32 reserved
@@ -44,39 +56,17 @@ class DiskRStarTree {
  public:
   DiskRStarTree(const DiskRStarTree&) = delete;
   DiskRStarTree& operator=(const DiskRStarTree&) = delete;
-  DiskRStarTree(DiskRStarTree&& other) noexcept
-      : file_(TakeFile(other)),
-        page_size_(other.page_size_),
-        page_count_(other.page_count_),
-        dim_(other.dim_),
-        size_(other.size_),
-        height_(other.height_),
-        root_page_(other.root_page_),
-        pages_read_(other.pages_read_.load(std::memory_order_relaxed)) {}
-  DiskRStarTree& operator=(DiskRStarTree&& other) noexcept {
-    if (this != &other) {
-      MutexLock mine(io_mutex_);
-      MutexLock theirs(other.io_mutex_);
-      file_ = std::move(other.file_);
-      page_size_ = other.page_size_;
-      page_count_ = other.page_count_;
-      dim_ = other.dim_;
-      size_ = other.size_;
-      height_ = other.height_;
-      root_page_ = other.root_page_;
-      pages_read_.store(other.pages_read_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    }
-    return *this;
-  }
+  DiskRStarTree(DiskRStarTree&&) noexcept = default;
+  DiskRStarTree& operator=(DiskRStarTree&&) noexcept = default;
 
-  /// STR-packs `entries` into a new page file at `path`.
+  /// STR-packs `entries` into a new page file at `path`, then opens it.
   static Result<DiskRStarTree> Build(
       const std::string& path, int dim,
       std::vector<std::pair<Rect, uint64_t>> entries,
       uint32_t page_size = PageFile::kDefaultPageSize);
 
-  /// Opens a tree previously written by Build.
+  /// Loads a tree written by Build into memory (see the class comment);
+  /// Corruption when any page fails its checksum or the structure checks.
   static Result<DiskRStarTree> Open(const std::string& path);
 
   int dim() const { return dim_; }
@@ -84,106 +74,88 @@ class DiskRStarTree {
   int height() const { return height_; }
   /// Entries per node for this dimension/page size (diagnostics).
   int NodeCapacity() const;
+  /// Bytes the resident arena holds (node table, rect planes, values).
+  size_t ResidentBytes() const;
 
   /// Streams all entries whose rects intersect `query`; return false from
-  /// the visitor to stop. IO errors abort the walk and are returned.
-  Status RangeSearchVisit(
+  /// the visitor to stop. A one-probe RangeQueryBatch traversal. Returns
+  /// the nodes visited.
+  int64_t RangeSearchVisit(
       const Rect& query,
       const std::function<bool(const Rect&, uint64_t)>& visitor) const;
 
   /// Collects intersecting payloads.
-  Result<std::vector<uint64_t>> RangeSearch(const Rect& query) const;
+  std::vector<uint64_t> RangeSearch(const Rect& query) const;
 
   /// Batched multi-probe range search: one shared traversal answers every
-  /// probe, so each page along a shared path is fetched once per batch
+  /// probe, so each node along a shared path is visited once per batch
   /// instead of once per probe (same contract as
   /// RStarTree::RangeQueryBatch -- Hilbert-sorted probes, per-node SIMD
   /// filtering of the active set, union-of-single-probe results with
-  /// node-grouped delivery order, visitor false aborts the batch).
-  Status RangeQueryBatch(
+  /// node-grouped delivery order, visitor false aborts the batch). Returns
+  /// the nodes visited by this call.
+  int64_t RangeQueryBatch(
       const std::vector<Rect>& probes,
       const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
 
   /// Best-first k nearest entries to `point` (ascending distance).
-  Result<std::vector<std::pair<uint64_t, double>>> NearestNeighbors(
-      const std::vector<float>& point, int k) const;
+  /// `nodes_visited`, when non-null, receives the nodes this call visited.
+  std::vector<std::pair<uint64_t, double>> NearestNeighbors(
+      const std::vector<float>& point, int k,
+      int64_t* nodes_visited = nullptr) const;
 
-  /// Deep structural validation: sweeps every page's CRC-32 trailer, then
-  /// walks the tree from the root verifying that each stored parent rect
-  /// equals the union of its child's rects, that all leaves sit at
-  /// `height()`, that no page is reachable twice (cycle guard), that page
-  /// ids stay in range, and that leaf entries sum to `size()`. O(file
-  /// size); validation/scrub tool, not a hot path.
+  /// Deep validation over the arena. The page CRCs and the structure were
+  /// checked at Open; this verifies that each stored parent rect equals
+  /// the union of its child's rects and that the shape still agrees with
+  /// size() and height(). O(tree size); no IO.
   Status Validate() const;
 
-  /// Pages fetched by queries since opening (served from cache or disk).
+  /// Node visits by queries since opening (each is a resident page read).
   int64_t pages_read() const {
-    return pages_read_.load(std::memory_order_relaxed);
+    return pages_read_->load(std::memory_order_relaxed);
   }
-  /// Underlying page-cache counters.
-  int64_t cache_hits() const WALRUS_EXCLUDES(io_mutex_) {
-    MutexLock lock(io_mutex_);
-    return file_.cache_hits();
-  }
-  int64_t cache_misses() const WALRUS_EXCLUDES(io_mutex_) {
-    MutexLock lock(io_mutex_);
-    return file_.cache_misses();
-  }
-  /// Resizes the page cache (0 disables; measures cold-read costs). Safe
-  /// to call while queries are in flight.
-  void SetCacheCapacity(int pages) WALRUS_EXCLUDES(io_mutex_) {
-    MutexLock lock(io_mutex_);
-    file_.SetCacheCapacity(pages);
-  }
+  /// Page reads served from memory: all of them.
+  int64_t cache_hits() const { return pages_read(); }
+  /// Page reads that went to the file: none after Open.
+  int64_t cache_misses() const { return 0; }
 
  private:
-  /// One decoded node, re-laid as SoA planes for the batch kernels
-  /// (common/simd.h): dimension d's lower bounds occupy
-  /// lo[d * count, (d + 1) * count), likewise hi. Decoding transposes the
-  /// on-disk entry-major layout directly into the planes -- no per-entry
-  /// Rect / vector allocations on the read path.
-  struct NodeRef {
+  struct Node {
+    uint32_t entry = 0;  // first entry; rect blocks start at entry * dim
+    uint16_t count = 0;
     bool is_leaf = false;
-    int count = 0;
-    std::vector<float> lo;         // dim * count floats, dimension-major
-    std::vector<float> hi;
-    std::vector<uint64_t> values;  // payloads (leaf) or child pages
-
-    const float* lo_planes() const { return lo.data(); }
-    const float* hi_planes() const { return hi.data(); }
-    /// Materializes entry i as a Rect (hit delivery / validation only).
-    Rect RectAt(int i, int dim) const;
   };
 
-  explicit DiskRStarTree(PageFile file)
-      : file_(std::move(file)),
-        page_size_(file_.page_size()),
-        page_count_(file_.page_count()) {}
+  DiskRStarTree() = default;
 
-  /// Extracts `other`'s page file under its lock (move-construction only:
-  /// guarded fields may not be read without the owning mutex, even from a
-  /// constructor of the same class).
-  static PageFile TakeFile(DiskRStarTree& other)
-      WALRUS_EXCLUDES(other.io_mutex_) {
-    MutexLock lock(other.io_mutex_);
-    return std::move(other.file_);
+  /// Decodes the tree rooted at `root_page` breadth first into the arena,
+  /// running the structure checks listed in the class comment.
+  Status Load(PageFile* file, uint32_t root_page);
+
+  /// The shared batch traversal behind RangeSearchVisit/RangeQueryBatch.
+  int64_t Traverse(
+      const std::vector<Rect>& probes,
+      const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
+
+  const float* lo_block(const Node& node) const {
+    return lo_.data() + static_cast<size_t>(node.entry) * dim_;
+  }
+  const float* hi_block(const Node& node) const {
+    return hi_.data() + static_cast<size_t>(node.entry) * dim_;
   }
 
-  Result<NodeRef> ReadNode(uint32_t page_id) const
-      WALRUS_EXCLUDES(io_mutex_);
-
-  mutable Mutex io_mutex_;
-  mutable PageFile file_ WALRUS_GUARDED_BY(io_mutex_);
-  /// Page geometry, cached at construction so probe paths can size and
-  /// bound-check nodes without taking io_mutex_ (immutable once built).
   uint32_t page_size_ = PageFile::kDefaultPageSize;
-  uint32_t page_count_ = 0;
   int dim_ = 0;
   int64_t size_ = 0;
   int height_ = 0;
-  uint32_t root_page_ = 0;
-  /// Pages fetched by queries (relaxed: a diagnostics counter).
-  mutable std::atomic<int64_t> pages_read_{0};
+  std::vector<Node> nodes_;
+  std::vector<float> lo_;
+  std::vector<float> hi_;
+  std::vector<uint64_t> values_;
+  /// Node visits by queries (relaxed: a diagnostics counter). Boxed so
+  /// the tree keeps its default move operations.
+  std::unique_ptr<std::atomic<int64_t>> pages_read_ =
+      std::make_unique<std::atomic<int64_t>>(0);
 };
 
 }  // namespace walrus

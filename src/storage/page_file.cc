@@ -37,11 +37,6 @@ PageFile& PageFile::operator=(PageFile&& other) noexcept {
     path_ = std::move(other.path_);
     page_size_ = other.page_size_;
     page_count_ = other.page_count_;
-    cache_capacity_ = other.cache_capacity_;
-    lru_ = std::move(other.lru_);
-    cache_index_ = std::move(other.cache_index_);
-    cache_hits_ = other.cache_hits_;
-    cache_misses_ = other.cache_misses_;
     other.file_ = nullptr;
   }
   return *this;
@@ -92,6 +87,21 @@ Result<PageFile> PageFile::Open(const std::string& path) {
     std::fclose(f);
     return Status::Corruption("page file: bad header: " + path);
   }
+  // The file must actually hold every page the header claims (checked
+  // first, so a damaged page size cannot size the buffer below past the
+  // file).
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    std::fclose(f);
+    return Status::IOError("page file: cannot stat: " + path);
+  }
+  long actual_size = std::ftell(f);
+  long expected_size = static_cast<long>(page_count) * page_size;
+  if (actual_size < expected_size) {
+    std::fclose(f);
+    return Status::Corruption(
+        "page file: truncated (" + std::to_string(actual_size) + " bytes, " +
+        "header claims " + std::to_string(expected_size) + "): " + path);
+  }
   // Verify the header page's checksum before trusting anything else in it.
   std::vector<uint8_t> header_page(page_size);
   if (std::fseek(f, 0, SEEK_SET) != 0 ||
@@ -104,19 +114,6 @@ Result<PageFile> PageFile::Open(const std::string& path) {
   if (GetU32At(header_page, body) != Crc32(header_page.data(), body)) {
     std::fclose(f);
     return Status::Corruption("page file: header checksum mismatch: " + path);
-  }
-  // The file must actually hold every page the header claims.
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("page file: cannot stat: " + path);
-  }
-  long actual_size = std::ftell(f);
-  long expected_size = static_cast<long>(page_count) * page_size;
-  if (actual_size < expected_size) {
-    std::fclose(f);
-    return Status::Corruption(
-        "page file: truncated (" + std::to_string(actual_size) + " bytes, " +
-        "header claims " + std::to_string(expected_size) + "): " + path);
   }
   PageFile pf;
   pf.file_ = f;
@@ -163,7 +160,6 @@ Status PageFile::WritePage(uint32_t id, const std::vector<uint8_t>& data) {
   if (data.size() != page_size_) {
     return Status::InvalidArgument("page data must be exactly one page");
   }
-  CacheErase(id);  // keep the cache coherent with the file
   return WritePageInternal(id, data);
 }
 
@@ -171,70 +167,31 @@ Result<std::vector<uint8_t>> PageFile::ReadPage(uint32_t id) {
   if (id == 0 || id >= page_count_) {
     return Status::InvalidArgument("page id out of range");
   }
-  auto it = cache_index_.find(id);
-  if (it != cache_index_.end()) {
-    ++cache_hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // bump to most-recent
-    return it->second->data;
-  }
-  ++cache_misses_;
   std::vector<uint8_t> page(page_size_);
+  WALRUS_RETURN_IF_ERROR(ReadVerified(id, &page));
+  return page;
+}
+
+Status PageFile::ReadVerified(uint32_t id, std::vector<uint8_t>* page) {
   long offset = static_cast<long>(id) * page_size_;
   if (std::fseek(file_, offset, SEEK_SET) != 0 ||
-      std::fread(page.data(), 1, page.size(), file_) != page.size()) {
+      std::fread(page->data(), 1, page->size(), file_) != page->size()) {
     return Status::IOError("page read failed: page " + std::to_string(id));
   }
-  size_t body = page.size() - kChecksumBytes;
-  if (GetU32At(page, body) != Crc32(page.data(), body)) {
+  size_t body = page->size() - kChecksumBytes;
+  if (GetU32At(*page, body) != Crc32(page->data(), body)) {
     return Status::Corruption("page checksum mismatch: page " +
                               std::to_string(id));
   }
-  CacheInsert(id, page);
-  return page;
+  return Status::OK();
 }
 
 Status PageFile::ValidateChecksums() {
   std::vector<uint8_t> page(page_size_);
   for (uint32_t id = 0; id < page_count_; ++id) {
-    long offset = static_cast<long>(id) * page_size_;
-    if (std::fseek(file_, offset, SEEK_SET) != 0 ||
-        std::fread(page.data(), 1, page.size(), file_) != page.size()) {
-      return Status::IOError("checksum sweep: cannot read page " +
-                             std::to_string(id));
-    }
-    size_t body = page.size() - kChecksumBytes;
-    if (GetU32At(page, body) != Crc32(page.data(), body)) {
-      return Status::Corruption("checksum sweep: page " + std::to_string(id) +
-                                " is corrupt");
-    }
+    WALRUS_RETURN_IF_ERROR(ReadVerified(id, &page));
   }
   return Status::OK();
-}
-
-void PageFile::SetCacheCapacity(int pages) {
-  WALRUS_CHECK_GE(pages, 0);
-  cache_capacity_ = pages;
-  while (static_cast<int>(lru_.size()) > cache_capacity_) {
-    cache_index_.erase(lru_.back().id);
-    lru_.pop_back();
-  }
-}
-
-void PageFile::CacheInsert(uint32_t id, const std::vector<uint8_t>& page) {
-  if (cache_capacity_ <= 0) return;
-  while (static_cast<int>(lru_.size()) >= cache_capacity_) {
-    cache_index_.erase(lru_.back().id);
-    lru_.pop_back();
-  }
-  lru_.push_front(CacheEntry{id, page});
-  cache_index_[id] = lru_.begin();
-}
-
-void PageFile::CacheErase(uint32_t id) {
-  auto it = cache_index_.find(id);
-  if (it == cache_index_.end()) return;
-  lru_.erase(it->second);
-  cache_index_.erase(it);
 }
 
 Result<BlobRef> PageFile::WriteBlob(const std::vector<uint8_t>& bytes) {

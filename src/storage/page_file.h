@@ -2,9 +2,8 @@
 #define WALRUS_STORAGE_PAGE_FILE_H_
 
 #include <cstdint>
-#include <list>
+#include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -26,13 +25,13 @@ struct BlobRef {
 /// page starts with an 8-byte header: u32 next-page id (0 = end of chain)
 /// and u32 payload bytes used in this page. The last 4 bytes of every page
 /// (header page included) hold a CRC-32 of the rest of the page, stamped on
-/// write and verified on every uncached read, so media or software
-/// corruption surfaces as Status::Corruption instead of silently wrong data.
+/// write and verified on every read, so media or software corruption
+/// surfaces as Status::Corruption instead of silently wrong data. There is
+/// no read cache: the catalog and the paged R-tree each read every page
+/// once, at open, into their own resident form.
 class PageFile {
  public:
   static constexpr uint32_t kDefaultPageSize = 4096;
-  /// Pages kept in the read cache (LRU). 0 disables caching.
-  static constexpr int kDefaultCachePages = 64;
   /// Bytes of each page reserved for the CRC-32 trailer.
   static constexpr uint32_t kChecksumBytes = 4;
 
@@ -63,15 +62,8 @@ class PageFile {
   /// of `data` round-trip through ReadPage.
   Status WritePage(uint32_t id, const std::vector<uint8_t>& data);
 
-  /// Reads page `id`, serving repeated reads from an LRU cache.
+  /// Reads page `id` from the file and verifies its checksum.
   Result<std::vector<uint8_t>> ReadPage(uint32_t id);
-
-  /// Resizes the read cache (entries are dropped oldest-first); 0 disables.
-  void SetCacheCapacity(int pages);
-
-  /// Cache hit/miss counters since creation (diagnostics).
-  int64_t cache_hits() const { return cache_hits_; }
-  int64_t cache_misses() const { return cache_misses_; }
 
   /// Stores `bytes` across a fresh chain of pages.
   Result<BlobRef> WriteBlob(const std::vector<uint8_t>& bytes);
@@ -82,10 +74,11 @@ class PageFile {
   /// Flushes buffered writes and the header to disk.
   Status Sync();
 
-  /// Checksum sweep: re-reads every page straight from disk (bypassing the
-  /// read cache) and verifies its CRC-32 trailer. Returns Corruption naming
-  /// the first bad page. O(file size); validation/scrub tool, not a hot
-  /// path.
+  /// Checksum sweep: re-reads every page, header included, and verifies
+  /// its CRC-32 trailer. Returns Corruption naming the first bad page.
+  /// O(file size); a scrub tool for a file that stays open (readers that
+  /// load at open, like DiskRStarTree, already checked every page they
+  /// read).
   Status ValidateChecksums();
 
  private:
@@ -94,25 +87,15 @@ class PageFile {
   Status WriteHeader();
   /// Stamps the CRC trailer into `data` and writes it at page `id`.
   Status WritePageInternal(uint32_t id, std::vector<uint8_t> data);
-  void CacheInsert(uint32_t id, const std::vector<uint8_t>& page);
-  void CacheErase(uint32_t id);
+  /// Reads page `id` (header page included) into `page` (one page long)
+  /// and verifies its CRC-32 trailer.
+  Status ReadVerified(uint32_t id, std::vector<uint8_t>* page);
 
   std::FILE* file_ = nullptr;
   std::string path_;
   uint32_t page_size_ = kDefaultPageSize;
   uint32_t page_count_ = 1;  // header page
 
-  // LRU read cache: most-recent at the front of lru_; map values point into
-  // the list.
-  struct CacheEntry {
-    uint32_t id;
-    std::vector<uint8_t> data;
-  };
-  int cache_capacity_ = kDefaultCachePages;
-  std::list<CacheEntry> lru_;
-  std::unordered_map<uint32_t, std::list<CacheEntry>::iterator> cache_index_;
-  int64_t cache_hits_ = 0;
-  int64_t cache_misses_ = 0;
 };
 
 }  // namespace walrus

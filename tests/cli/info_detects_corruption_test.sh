@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# `walrus_cli info` must validate the index, not just open it: a paged
-# index whose tree pages past the header are corrupt opens cleanly (page
-# CRCs are otherwise checked only when a query reads the page), so info
-# has to sweep them and exit 1.
+# `walrus_cli info` must report a corrupt index and exit 1. A paged index
+# whose tree pages past the header are corrupt is refused at open (every
+# tree page's CRC is checked when the tree is loaded), and info reports
+# that open error.
 #
 # Usage: info_detects_corruption_test.sh <walrus_cli>
 set -euo pipefail

@@ -491,6 +491,72 @@ TEST_F(GoldenRegressionTest, PrefilterRankingsBitIdenticalLiveIndex) {
                          "live");
 }
 
+// ---- Paged backends (DESIGN.md section 19) -------------------------------
+//
+// A paged index answers from the tree it decoded at open; rankings must
+// equal the in-memory index's EXACTLY for a single paged index, an 8-shard
+// paged layout and a LiveIndex over a paged base, at native and forced
+// scalar dispatch.
+
+TEST_F(GoldenRegressionTest, PagedRankingsBitIdentical) {
+  const std::string dir = FreshLiveDir("golden_paged");
+  ASSERT_TRUE(index_->SavePaged(dir + "/single").ok());
+  Result<WalrusIndex> paged = WalrusIndex::OpenPaged(dir + "/single");
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  ASSERT_TRUE(paged->is_paged());
+
+  ShardedIndex::Options shard_options;
+  shard_options.num_shards = 8;
+  Result<ShardedIndex> partitioned =
+      ShardedIndex::Partition(*index_, shard_options);
+  ASSERT_TRUE(partitioned.ok()) << partitioned.status();
+  ASSERT_TRUE(partitioned->Save(dir + "/sharded", /*paged=*/true).ok());
+  Result<ShardedIndex> sharded = ShardedIndex::Open(dir + "/sharded");
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_EQ(sharded->num_shards(), 8);
+  ASSERT_TRUE(sharded->shard(0).is_paged());
+
+  // Two thirds of the corpus in a paged base, the rest in the delta.
+  constexpr size_t kSeedImages = 24;
+  WalrusIndex seed(index_->params());
+  for (size_t i = 0; i < kSeedImages; ++i) {
+    const LabeledImage& scene = (*dataset_)[i];
+    ASSERT_TRUE(seed.AddImage(static_cast<uint64_t>(scene.id),
+                              "scene_" + std::to_string(scene.id), scene.image)
+                    .ok());
+  }
+  LiveIndex::Options live_options;
+  live_options.merge_threshold = 0;
+  live_options.paged_base = true;
+  ::mkdir((dir + "/live").c_str(), 0755);
+  auto live = LiveIndex::Open(dir + "/live", index_->params(), live_options,
+                              &seed);
+  ASSERT_TRUE(live.ok()) << live.status();
+  for (size_t i = kSeedImages; i < dataset_->size(); ++i) {
+    const LabeledImage& scene = (*dataset_)[i];
+    ASSERT_TRUE((*live)
+                    ->InsertImage(static_cast<uint64_t>(scene.id),
+                                  "scene_" + std::to_string(scene.id),
+                                  scene.image)
+                    .ok());
+  }
+
+  SingleIndexEngine memory_engine(*index_);
+  SingleIndexEngine paged_engine(*paged);
+  const auto expected = RunPrefilterWorkload(memory_engine, *dataset_, true);
+  for (bool scalar : {false, true}) {
+    if (scalar) simd::TestOnlySetIsa(simd::IsaLevel::kScalar);
+    const char* isa = scalar ? "scalar" : "native";
+    ExpectIdenticalResults(RunPrefilterWorkload(paged_engine, *dataset_, true),
+                           expected, isa);
+    ExpectIdenticalResults(RunPrefilterWorkload(*sharded, *dataset_, true),
+                           expected, isa);
+    ExpectIdenticalResults(RunPrefilterWorkload(**live, *dataset_, true),
+                           expected, isa);
+  }
+  simd::TestOnlyResetIsa();
+}
+
 /// The workload itself must stay sane regardless of the pinned numbers:
 /// self-retrieval is the floor any index build must clear. If this fails,
 /// fix retrieval before re-pinning the golden file.

@@ -155,13 +155,14 @@ TEST(RStarBatch, NodesVisitedIsDeduplicated) {
   std::vector<Rect> probes = RandomProbes(12, dim, 100);
   int64_t sum_single = 0;
   for (const Rect& probe : probes) {
-    tree.RangeSearchVisit(probe, [](const Rect&, uint64_t) { return true; });
-    sum_single += tree.last_nodes_visited();
+    const int64_t visited = tree.RangeSearchVisit(
+        probe, [](const Rect&, uint64_t) { return true; });
+    EXPECT_EQ(visited, tree.last_nodes_visited());
+    sum_single += visited;
   }
-  tree.RangeQueryBatch(probes, [](int, const Rect&, uint64_t) {
-    return true;
-  });
-  const int64_t batch_visited = tree.last_nodes_visited();
+  const int64_t batch_visited = tree.RangeQueryBatch(
+      probes, [](int, const Rect&, uint64_t) { return true; });
+  EXPECT_EQ(batch_visited, tree.last_nodes_visited());
   EXPECT_GT(batch_visited, 0);
   // Shared traversal: a node serving k probes is visited once, not k times.
   EXPECT_LE(batch_visited, sum_single);
@@ -179,26 +180,20 @@ TEST(DiskRStarBatch, BatchMatchesSingleProbes) {
   std::vector<Rect> probes = RandomProbes(20, dim, 1235);
   std::multiset<ProbeHit> want;
   for (size_t p = 0; p < probes.size(); ++p) {
-    ASSERT_TRUE(tree->RangeSearchVisit(probes[p],
-                                       [&](const Rect&, uint64_t payload) {
-                                         want.insert(
-                                             {static_cast<int>(p), payload});
-                                         return true;
-                                       })
-                    .ok());
+    tree->RangeSearchVisit(probes[p], [&](const Rect&, uint64_t payload) {
+      want.insert({static_cast<int>(p), payload});
+      return true;
+    });
   }
   EXPECT_FALSE(want.empty());
 
   for (int l = 0; l <= static_cast<int>(simd::MaxSupportedIsa()); ++l) {
     simd::TestOnlySetIsa(static_cast<simd::IsaLevel>(l));
     std::multiset<ProbeHit> batch;
-    ASSERT_TRUE(tree->RangeQueryBatch(probes,
-                                      [&](int p, const Rect&,
-                                          uint64_t payload) {
-                                        batch.insert({p, payload});
-                                        return true;
-                                      })
-                    .ok());
+    tree->RangeQueryBatch(probes, [&](int p, const Rect&, uint64_t payload) {
+      batch.insert({p, payload});
+      return true;
+    });
     EXPECT_EQ(want, batch)
         << "isa=" << simd::IsaName(static_cast<simd::IsaLevel>(l));
   }

@@ -1,7 +1,11 @@
 #include <cstdio>
+#include <cstring>
+#include <functional>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/serialize.h"
 #include "storage/disk_rstar.h"
 #include "storage/page_file.h"
 
@@ -60,7 +64,6 @@ TEST(PageChecksum, SweepAndReadDetectBitFlip) {
 
   Result<PageFile> pf = PageFile::Open(path);
   ASSERT_TRUE(pf.ok()) << pf.status();
-  pf->SetCacheCapacity(0);
   Status sweep = pf->ValidateChecksums();
   EXPECT_FALSE(sweep.ok());
   EXPECT_EQ(sweep.code(), StatusCode::kCorruption) << sweep;
@@ -88,22 +91,66 @@ TEST(PageChecksum, OpenDetectsCorruptHeaderPage) {
   std::remove(path.c_str());
 }
 
-TEST(DiskRStarValidate, HealthyTreeValidates) {
-  std::string path = TempPath("drst_healthy.db");
+/// 500 grid points in 256-byte pages: 10 entries per node, so 50 leaves
+/// (pages 1-50), 5 internal nodes (51-55), the root (56) and the
+/// metadata blob (57); height 3.
+void BuildGridTree(const std::string& path) {
   std::vector<std::pair<Rect, uint64_t>> entries;
   for (int i = 0; i < 500; ++i) {
     float x = static_cast<float>(i % 25);
     float y = static_cast<float>(i / 25);
     entries.emplace_back(Rect::Point({x, y}), static_cast<uint64_t>(i));
   }
-  {
-    Result<DiskRStarTree> built =
-        DiskRStarTree::Build(path, 2, entries, /*page_size=*/256);
-    ASSERT_TRUE(built.ok()) << built.status();
-    EXPECT_GT(built->height(), 1);
-    Status status = built->Validate();
-    EXPECT_TRUE(status.ok()) << status;
-  }
+  Result<DiskRStarTree> built =
+      DiskRStarTree::Build(path, 2, entries, /*page_size=*/256);
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_EQ(built->height(), 3);
+  ASSERT_EQ(built->NodeCapacity(), 10);
+  EXPECT_TRUE(built->Validate().ok());
+}
+
+constexpr uint32_t kGridRootPage = 56;
+constexpr uint32_t kGridFirstLeafPage = 1;
+/// Byte offset of entry i in a node page of the 2-d grid tree (u8
+/// is_leaf, u8, u16 count, u32; then entries of lo[2], hi[2], u64 value).
+size_t EntryAt(int i) { return 8 + static_cast<size_t>(i) * 24; }
+
+/// Rewrites node page `id` through the page file, so its CRC stays valid
+/// and only the structure checks can catch the edit.
+void EditPage(const std::string& path, uint32_t id,
+              const std::function<void(std::vector<uint8_t>*)>& edit) {
+  Result<PageFile> pf = PageFile::Open(path);
+  ASSERT_TRUE(pf.ok()) << pf.status();
+  Result<std::vector<uint8_t>> page = pf->ReadPage(id);
+  ASSERT_TRUE(page.ok()) << page.status();
+  edit(&*page);
+  ASSERT_TRUE(pf->WritePage(id, *page).ok());
+  ASSERT_TRUE(pf->Sync().ok());
+}
+
+void PutU64(std::vector<uint8_t>* page, size_t at, uint64_t v) {
+  std::memcpy(page->data() + at, &v, 8);
+}
+uint64_t GetU64(const std::vector<uint8_t>& page, size_t at) {
+  uint64_t v;
+  std::memcpy(&v, page.data() + at, 8);
+  return v;
+}
+void PutF32(std::vector<uint8_t>* page, size_t at, float v) {
+  std::memcpy(page->data() + at, &v, 4);
+}
+
+/// Open of the edited tree must fail with Corruption.
+void ExpectOpenCorruption(const std::string& path) {
+  Result<DiskRStarTree> opened = DiskRStarTree::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status();
+}
+
+TEST(DiskRStarValidate, HealthyTreeValidates) {
+  std::string path = TempPath("drst_healthy.db");
+  BuildGridTree(path);
   Result<DiskRStarTree> opened = DiskRStarTree::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status();
   EXPECT_TRUE(opened->Validate().ok());
@@ -112,26 +159,116 @@ TEST(DiskRStarValidate, HealthyTreeValidates) {
 
 TEST(DiskRStarValidate, DetectsCorruptNodePage) {
   std::string path = TempPath("drst_flip.db");
-  std::vector<std::pair<Rect, uint64_t>> entries;
-  for (int i = 0; i < 500; ++i) {
-    float x = static_cast<float>(i % 25);
-    float y = static_cast<float>(i / 25);
-    entries.emplace_back(Rect::Point({x, y}), static_cast<uint64_t>(i));
-  }
-  {
-    Result<DiskRStarTree> built =
-        DiskRStarTree::Build(path, 2, entries, /*page_size=*/256);
-    ASSERT_TRUE(built.ok()) << built.status();
-  }
-  // Page 1 is the first leaf node (the metadata blob sits on the last
-  // pages, so Open still succeeds); the validator's checksum sweep must
-  // report the damage.
+  BuildGridTree(path);
+  // Page 1 is the first leaf node. Open reads every node page, so the
+  // page's checksum refuses the tree before any query can see it.
   FlipByteAt(path, 1 * 256 + 33);
+  ExpectOpenCorruption(path);
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarOpen, RejectsChildPageOutOfRange) {
+  std::string path = TempPath("drst_child_range.db");
+  BuildGridTree(path);
+  EditPage(path, kGridRootPage, [](std::vector<uint8_t>* page) {
+    PutU64(page, EntryAt(0) + 16, 9999);
+  });
+  ExpectOpenCorruption(path);
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarOpen, RejectsSharedChildAndCycle) {
+  std::string path = TempPath("drst_shared.db");
+  BuildGridTree(path);
+  EditPage(path, kGridRootPage, [](std::vector<uint8_t>* page) {
+    PutU64(page, EntryAt(1) + 16, GetU64(*page, EntryAt(0) + 16));
+  });
+  ExpectOpenCorruption(path);
+
+  BuildGridTree(path);
+  EditPage(path, kGridRootPage, [](std::vector<uint8_t>* page) {
+    PutU64(page, EntryAt(0) + 16, kGridRootPage);  // points at itself
+  });
+  ExpectOpenCorruption(path);
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarOpen, RejectsBadEntryCount) {
+  std::string path = TempPath("drst_count.db");
+  for (uint8_t count : {uint8_t{11}, uint8_t{0}}) {  // capacity is 10
+    BuildGridTree(path);
+    EditPage(path, kGridFirstLeafPage,
+             [count](std::vector<uint8_t>* page) { (*page)[2] = count; });
+    ExpectOpenCorruption(path);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarOpen, RejectsInvertedRect) {
+  std::string path = TempPath("drst_inverted.db");
+  BuildGridTree(path);
+  EditPage(path, kGridFirstLeafPage, [](std::vector<uint8_t>* page) {
+    PutF32(page, EntryAt(0), 1000.0f);  // lo[0] above hi[0]
+  });
+  ExpectOpenCorruption(path);
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarOpen, RejectsLeafAtWrongDepth) {
+  std::string path = TempPath("drst_depth.db");
+  BuildGridTree(path);
+  // A leaf flag on the root puts a leaf at depth 1 of a height-3 tree.
+  EditPage(path, kGridRootPage,
+           [](std::vector<uint8_t>* page) { (*page)[0] = 1; });
+  ExpectOpenCorruption(path);
+
+  // An internal flag on a leaf page puts an internal node at leaf level.
+  BuildGridTree(path);
+  EditPage(path, kGridFirstLeafPage,
+           [](std::vector<uint8_t>* page) { (*page)[0] = 0; });
+  ExpectOpenCorruption(path);
+  std::remove(path.c_str());
+}
+
+TEST(DiskRStarValidate, DetectsParentRectMismatch) {
+  std::string path = TempPath("drst_parent_rect.db");
+  BuildGridTree(path);
+  // Move one leaf point outside its parent's stored rect: a well-formed
+  // tree that opens, but whose pruning rects lie.
+  EditPage(path, kGridFirstLeafPage, [](std::vector<uint8_t>* page) {
+    for (size_t at : {EntryAt(0), EntryAt(0) + 8}) PutF32(page, at, -50.0f);
+  });
   Result<DiskRStarTree> opened = DiskRStarTree::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status();
   Status status = opened->Validate();
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status;
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  std::remove(path.c_str());
+}
+
+// Seeded byte flips, one per page: Open either fails cleanly or returns a
+// tree whose deep validation passes.
+TEST(DiskRStarOpen, ByteFlipOnEveryPageFailsCleanly) {
+  std::string path = TempPath("drst_flip_loop.db");
+  BuildGridTree(path);
+  Result<std::vector<uint8_t>> valid = ReadFileBytes(path);
+  ASSERT_TRUE(valid.ok());
+  const size_t pages = valid->size() / 256;
+  ASSERT_EQ(pages, 58u);
+  Rng rng(1505);
+  for (size_t id = 0; id < pages; ++id) {
+    std::vector<uint8_t> mutated = *valid;
+    const size_t pos = id * 256 + rng.NextBounded(256);
+    mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+    ASSERT_TRUE(WriteFileBytes(path, mutated).ok());
+    Result<DiskRStarTree> opened = DiskRStarTree::Open(path);
+    if (opened.ok()) {
+      EXPECT_TRUE(opened->Validate().ok()) << "page " << id;
+    } else {
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+          << "page " << id << ": " << opened.status();
+    }
+  }
   std::remove(path.c_str());
 }
 

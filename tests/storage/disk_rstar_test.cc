@@ -32,13 +32,9 @@ TEST(DiskRStar, EmptyTree) {
   auto tree = DiskRStarTree::Build(path, 4, {});
   ASSERT_TRUE(tree.ok()) << tree.status();
   EXPECT_EQ(tree->size(), 0);
-  auto hits = tree->RangeSearch(
-      Rect::Bounds({0, 0, 0, 0}, {1, 1, 1, 1}));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_TRUE(hits->empty());
-  auto nn = tree->NearestNeighbors({0.5f, 0.5f, 0.5f, 0.5f}, 3);
-  ASSERT_TRUE(nn.ok());
-  EXPECT_TRUE(nn->empty());
+  EXPECT_TRUE(
+      tree->RangeSearch(Rect::Bounds({0, 0, 0, 0}, {1, 1, 1, 1})).empty());
+  EXPECT_TRUE(tree->NearestNeighbors({0.5f, 0.5f, 0.5f, 0.5f}, 3).empty());
   std::remove(path.c_str());
 }
 
@@ -69,15 +65,14 @@ TEST_P(DiskRStarSweep, RangeSearchMatchesBruteForce) {
       hi[d] = lo[d] + 0.3f;
     }
     Rect query = Rect::Bounds(lo, hi);
-    auto got = tree->RangeSearch(query);
-    ASSERT_TRUE(got.ok());
-    std::sort(got->begin(), got->end());
+    std::vector<uint64_t> got = tree->RangeSearch(query);
+    std::sort(got.begin(), got.end());
     std::vector<uint64_t> want;
     for (const auto& [rect, payload] : entries) {
       if (rect.Intersects(query)) want.push_back(payload);
     }
     std::sort(want.begin(), want.end());
-    EXPECT_EQ(*got, want) << trial;
+    EXPECT_EQ(got, want) << trial;
   }
   std::remove(path.c_str());
 }
@@ -101,8 +96,7 @@ TEST(DiskRStar, NearestNeighborsMatchBruteForce) {
     std::vector<float> q(dim);
     for (float& v : q) v = rng.NextFloat();
     auto got = tree->NearestNeighbors(q, 7);
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->size(), 7u);
+    ASSERT_EQ(got.size(), 7u);
 
     std::vector<std::pair<double, uint64_t>> brute;
     for (const auto& [rect, payload] : entries) {
@@ -110,7 +104,7 @@ TEST(DiskRStar, NearestNeighborsMatchBruteForce) {
     }
     std::sort(brute.begin(), brute.end());
     for (int k = 0; k < 7; ++k) {
-      EXPECT_NEAR((*got)[k].second, brute[k].first, 1e-6) << trial << " " << k;
+      EXPECT_NEAR(got[k].second, brute[k].first, 1e-6) << trial << " " << k;
     }
   }
   std::remove(path.c_str());
@@ -129,34 +123,56 @@ TEST(DiskRStar, BoxEntriesSupported) {
   auto tree = DiskRStarTree::Build(path, 2, entries);
   ASSERT_TRUE(tree.ok());
   Rect query = Rect::Bounds({0.4f, 0.4f}, {0.6f, 0.6f});
-  auto got = tree->RangeSearch(query);
-  ASSERT_TRUE(got.ok());
-  std::sort(got->begin(), got->end());
+  std::vector<uint64_t> got = tree->RangeSearch(query);
+  std::sort(got.begin(), got.end());
   std::vector<uint64_t> want;
   for (const auto& [rect, payload] : entries) {
     if (rect.Intersects(query)) want.push_back(payload);
   }
-  EXPECT_EQ(*got, want);
+  EXPECT_EQ(got, want);
+  // The visitor sees each entry's stored rect (one scratch Rect is reused
+  // across hits, so every delivery must overwrite all of it).
+  int hits = 0;
+  tree->RangeSearchVisit(query, [&](const Rect& rect, uint64_t payload) {
+    EXPECT_TRUE(rect == entries[payload].first) << payload;
+    ++hits;
+    return true;
+  });
+  EXPECT_EQ(hits, static_cast<int>(want.size()));
   std::remove(path.c_str());
 }
 
+// The tree is resident after Open: repeat probes are all cache hits, and
+// they are answered even after the file is overwritten with garbage.
 TEST(DiskRStar, CacheServesRepeatProbes) {
   std::string path = TempPath("disk_rstar_cache.db");
-  auto tree = DiskRStarTree::Build(path, 2, RandomEntries(3000, 2, 10));
+  std::vector<std::pair<Rect, uint64_t>> entries = RandomEntries(3000, 2, 10);
+  auto tree = DiskRStarTree::Build(path, 2, entries);
   ASSERT_TRUE(tree.ok());
   Rect probe = Rect::Bounds({0.4f, 0.4f}, {0.45f, 0.45f});
-  ASSERT_TRUE(tree->RangeSearch(probe).ok());
-  int64_t misses_after_first = tree->cache_misses();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(tree->RangeSearch(probe).ok());
-  }
-  EXPECT_EQ(tree->cache_misses(), misses_after_first);
+  const std::vector<uint64_t> first = tree->RangeSearch(probe);
+  ASSERT_FALSE(first.empty());
+  const auto nearest = tree->NearestNeighbors({0.3f, 0.7f}, 5);
+
+  const long file_bytes = [&] {
+    FILE* f = fopen(path.c_str(), "rb");
+    fseek(f, 0, SEEK_END);
+    const long bytes = ftell(f);
+    fclose(f);
+    return bytes;
+  }();
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  for (long i = 0; i < file_bytes; ++i) fputc(0xA5, f);
+  fclose(f);
+  ASSERT_FALSE(DiskRStarTree::Open(path).ok());
+
+  EXPECT_EQ(tree->RangeSearch(probe), first);
+  EXPECT_EQ(tree->NearestNeighbors({0.3f, 0.7f}, 5), nearest);
+  EXPECT_TRUE(tree->Validate().ok());
   EXPECT_GT(tree->cache_hits(), 0);
-  // Disabling the cache forces real reads again.
-  tree->SetCacheCapacity(0);
-  int64_t misses_before = tree->cache_misses();
-  ASSERT_TRUE(tree->RangeSearch(probe).ok());
-  EXPECT_GT(tree->cache_misses(), misses_before);
+  EXPECT_EQ(tree->cache_hits(), tree->pages_read());
+  EXPECT_EQ(tree->cache_misses(), 0);
   std::remove(path.c_str());
 }
 
@@ -173,13 +189,20 @@ TEST(DiskRStar, PagesReadScalesWithSelectivity) {
   std::string path = TempPath("disk_rstar_pages.db");
   auto tree = DiskRStarTree::Build(path, 2, RandomEntries(20000, 2, 11));
   ASSERT_TRUE(tree.ok());
-  // Small probe touches far fewer pages than a full scan.
-  ASSERT_TRUE(
-      tree->RangeSearch(Rect::Bounds({0.5f, 0.5f}, {0.52f, 0.52f})).ok());
-  int64_t small_pages = tree->pages_read();
-  ASSERT_TRUE(tree->RangeSearch(Rect::Bounds({0, 0}, {1, 1})).ok());
-  int64_t full_pages = tree->pages_read() - small_pages;
+  // Small probe touches far fewer pages than a full scan, and each call
+  // returns exactly the pages it added to the tree-wide counter.
+  const auto noop = [](const Rect&, uint64_t) { return true; };
+  int64_t small_pages = tree->RangeSearchVisit(
+      Rect::Bounds({0.5f, 0.5f}, {0.52f, 0.52f}), noop);
+  EXPECT_EQ(tree->pages_read(), small_pages);
+  int64_t full_pages =
+      tree->RangeSearchVisit(Rect::Bounds({0, 0}, {1, 1}), noop);
+  EXPECT_EQ(tree->pages_read(), small_pages + full_pages);
   EXPECT_LT(small_pages, full_pages / 5);
+  int64_t knn_pages = 0;
+  tree->NearestNeighbors({0.5f, 0.5f}, 3, &knn_pages);
+  EXPECT_GT(knn_pages, 0);
+  EXPECT_EQ(tree->pages_read(), small_pages + full_pages + knn_pages);
   std::remove(path.c_str());
 }
 
