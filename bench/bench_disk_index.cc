@@ -1,23 +1,28 @@
-// Paged vs in-memory R-tree serving (the paper's R*-tree is a "disk-based
-// index structure"; section 5.3). Writes BENCH_paged_tree.json with, per
-// corpus and backend: probe-stage p50/p99, tree open time and the heap
-// bytes the opened tree keeps resident per region.
+// The three R-trees an index can hold (the paper's R*-tree is a
+// "disk-based index structure"; section 5.3). Writes
+// BENCH_paged_tree.json with, per corpus and tree: probe-stage p50/p99,
+// the seconds to build or open the tree and the heap bytes it keeps
+// resident per region.
+//
+// Trees (the `backend` column):
+//   dynamic  RStarTree::BulkLoad -- the pointer R*-tree an index moves to
+//            at its first mutation;
+//   arena    DiskRStarTree::Build -- the arena STR-built in memory, held
+//            by FromRecords and in-memory Open;
+//   paged    DiskRStarTree::Open of that arena's page file, held by
+//            OpenPaged (checked equal to the built arena).
 //
 // Corpora:
 //   table1     the Table 1 database (synthetic 128x128 scenes, paper
-//              defaults, 64x64 windows); the probe stage is one batched
-//              epsilon-probe of a query's regions (WalrusIndex::
-//              ProbeRangeBatch) on the in-memory index and on the same
-//              index saved and opened paged.
+//              defaults, 64x64 windows): one entry per region centroid;
 //   synthetic  100 jittered copies of every Table 1 region signature
-//              (about 1M 12-d entries at the default 1000 images), built
-//              directly with DiskRStarTree::Build and, for the in-memory
-//              row, RStarTree::BulkLoad; probed with the same query
-//              batches through RangeQueryBatch.
+//              (about 1M 12-d entries at the default 1000 images).
+// The probe stage is one batched epsilon-probe of a query's regions
+// (RangeQueryBatch), the same batches for every tree.
 //
-// Open time is the tree alone: DiskRStarTree::Open for paged, reading and
-// deserializing RStarTree::Serialize's bytes for in-memory. Resident bytes
-// are the heap growth across that open (glibc mallinfo2).
+// Build-or-open time is the tree alone: the entries are made before the
+// clock starts. Resident bytes are the heap growth across making the
+// entries and the tree, after the entries are freed (glibc mallinfo2).
 //
 //   WALRUS_BENCH_DISK_IMAGES   corpus images (default 1000)
 //   WALRUS_BENCH_DISK_QUERIES  query images, each probed 20 times (default 10)
@@ -34,7 +39,6 @@
 
 #include "bench_json.h"
 #include "common/random.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query_pipeline.h"
@@ -113,47 +117,32 @@ void Print(const Row& row, walrus::bench::BenchReport* report) {
       .Set("resident_tree_bytes_per_region", per_region);
 }
 
-/// Writes `tree` in the in-memory index's tree format (RStarTree::
-/// Serialize) to `path`.
-bool SaveMemoryTree(const walrus::RStarTree& tree, const std::string& path) {
-  walrus::BinaryWriter writer;
-  tree.Serialize(&writer);
-  return walrus::WriteFileBytes(path, writer.buffer()).ok();
-}
+using Entries = std::vector<std::pair<walrus::Rect, uint64_t>>;
 
-/// Times the in-memory tree's open (read + deserialize `path`) and
-/// measures the heap it keeps.
-bool MemoryOpen(const std::string& path, double* seconds, int64_t* bytes) {
-  walrus::WallTimer timer;
-  walrus::Result<std::vector<uint8_t>> file = walrus::ReadFileBytes(path);
-  if (!file.ok()) return false;
-  const int64_t before = HeapBytes();
-  walrus::BinaryReader reader(*file);
-  walrus::Result<walrus::RStarTree> opened =
-      walrus::RStarTree::Deserialize(&reader);
-  *seconds = timer.ElapsedSeconds();
-  *bytes = HeapBytes() - before;
-  std::remove(path.c_str());
-  return opened.ok();
-}
+/// Heap growth since construction (make it before the entries).
+struct HeapGrowth {
+  int64_t before = HeapBytes();
+  int64_t Bytes() const { return HeapBytes() - before; }
+};
 
-/// Times DiskRStarTree::Open of `path` and measures the heap it keeps.
-bool PagedOpen(const std::string& path, double* seconds, int64_t* bytes) {
-  const int64_t before = HeapBytes();
-  walrus::WallTimer timer;
-  walrus::Result<walrus::DiskRStarTree> opened =
-      walrus::DiskRStarTree::Open(path);
-  *seconds = timer.ElapsedSeconds();
-  *bytes = HeapBytes() - before;
-  return opened.ok();
+/// One point entry per region centroid, as WalrusIndex indexes them.
+Entries CatalogEntries(const walrus::Catalog& catalog) {
+  Entries entries;
+  for (const walrus::ImageRecord& record : catalog.images()) {
+    for (const walrus::RegionRecord& region : record.regions) {
+      entries.emplace_back(
+          walrus::Rect::Point(region.centroid),
+          walrus::EncodeRegionPayload(record.image_id, region.region_id));
+    }
+  }
+  return entries;
 }
 
 /// `copies` jittered copies (+-0.02 per dimension) of every region
 /// centroid in the catalog, as point entries.
-std::vector<std::pair<walrus::Rect, uint64_t>> SyntheticEntries(
-    const walrus::Catalog& catalog, int copies) {
+Entries SyntheticEntries(const walrus::Catalog& catalog, int copies) {
   walrus::Rng rng(1999);
-  std::vector<std::pair<walrus::Rect, uint64_t>> entries;
+  Entries entries;
   entries.reserve(static_cast<size_t>(copies) * catalog.TotalRegions());
   std::vector<float> point;
   for (int c = 0; c < copies; ++c) {
@@ -182,20 +171,13 @@ int main() {
 
   walrus::WalrusParams params;  // paper defaults, 64x64 windows
   params.slide_step = 8;
-  walrus::WalrusIndex memory_index(params);
+  walrus::WalrusIndex corpus_index(params);
   for (const walrus::LabeledImage& scene : dataset) {
-    if (!memory_index
+    if (!corpus_index
              .AddImage(static_cast<uint64_t>(scene.id), "img", scene.image)
              .ok()) {
       return 1;
     }
-  }
-  if (!memory_index.SavePaged(kPrefix).ok()) return 1;
-  auto paged = walrus::WalrusIndex::OpenPaged(kPrefix);
-  if (!paged.ok()) {
-    std::fprintf(stderr, "open paged failed: %s\n",
-                 paged.status().ToString().c_str());
-    return 1;
   }
 
   // One probe batch per query image: its regions' epsilon envelopes.
@@ -213,8 +195,8 @@ int main() {
   std::vector<walrus::LabeledImage>().swap(dataset);
 
   walrus::bench::BenchReport report("paged_tree");
-  const int64_t regions = static_cast<int64_t>(memory_index.RegionCount());
-  std::printf("# paged vs in-memory R-tree: %d images, %lld regions, "
+  const int64_t regions = static_cast<int64_t>(corpus_index.RegionCount());
+  std::printf("# dynamic vs arena vs paged R-tree: %d images, %lld regions, "
               "eps=%.2f, %zu query batches x %d\n",
               num_images, static_cast<long long>(regions), kEpsilon,
               batches.size(), kRepetitions);
@@ -226,63 +208,65 @@ int main() {
     ++hits;
     return true;
   };
-  const auto index_probe = [&](const walrus::WalrusIndex& index) {
-    return [&](const std::vector<walrus::Rect>& batch) {
-      if (!index.ProbeRangeBatch(batch, count_hit).ok()) std::exit(1);
-    };
-  };
-  Row row("table1", "in-memory", regions);
-  row.probe = TimeProbes(batches, index_probe(memory_index));
-  const std::string tree_path = std::string(kPrefix) + ".rtree";
-  if (!SaveMemoryTree(memory_index.tree(), tree_path) ||
-      !MemoryOpen(tree_path, &row.open_seconds, &row.resident_bytes)) {
-    return 1;
-  }
-  Print(row, &report);
-  row = Row("table1", "paged", regions);
-  row.probe = TimeProbes(batches, index_probe(*paged));
-  if (!PagedOpen(std::string(kPrefix) + ".ptree", &row.open_seconds,
-                 &row.resident_bytes)) {
-    return 1;
-  }
-  Print(row, &report);
+  const int dim = params.SignatureDim();
+  const std::string tree_path = std::string(kPrefix) + ".ptree";
+  // Each tree is made, timed, probed and freed before the next, so the
+  // heap growth of one never includes another.
+  const auto run_corpus = [&](const char* corpus,
+                              const std::function<Entries()>& make) {
+    {
+      HeapGrowth growth;
+      Entries entries = make();
+      Row row(corpus, "dynamic", static_cast<int64_t>(entries.size()));
+      walrus::WallTimer timer;
+      walrus::RStarTree tree =
+          walrus::RStarTree::BulkLoad(dim, std::move(entries));
+      row.open_seconds = timer.ElapsedSeconds();
+      row.resident_bytes = growth.Bytes();
+      row.probe = TimeProbes(batches, [&](const std::vector<walrus::Rect>& b) {
+        tree.RangeQueryBatch(b, count_hit);
+      });
+      Print(row, &report);
+    }
+    HeapGrowth growth;
+    Entries entries = make();
+    Row row(corpus, "arena", static_cast<int64_t>(entries.size()));
+    walrus::WallTimer timer;
+    auto arena = walrus::DiskRStarTree::Build(dim, std::move(entries));
+    row.open_seconds = timer.ElapsedSeconds();
+    row.resident_bytes = growth.Bytes();
+    if (!arena.ok() || !arena->Save(tree_path).ok()) std::exit(1);
+    row.probe = TimeProbes(batches, [&](const std::vector<walrus::Rect>& b) {
+      arena->RangeQueryBatch(b, count_hit);
+    });
+    Print(row, &report);
+    std::printf("# %s arena: %zu bytes (%d-entry nodes)\n", corpus,
+                arena->ResidentBytes(), arena->NodeCapacity());
 
-  // Synthetic: paged first, so its build buffers are gone before the
-  // in-memory tree is loaded.
-  const std::string synthetic_path = std::string(kPrefix) + ".synthetic";
-  int64_t synthetic_entries = 0;
-  {
-    auto entries = SyntheticEntries(memory_index.catalog(), kSyntheticCopies);
-    synthetic_entries = static_cast<int64_t>(entries.size());
-    auto built = walrus::DiskRStarTree::Build(
-        synthetic_path, params.SignatureDim(), std::move(entries));
-    if (!built.ok()) return 1;
-    row = Row("synthetic", "paged", synthetic_entries);
+    row = Row(corpus, "paged", row.entries);
+    HeapGrowth paged_growth;
+    timer.Restart();
+    auto paged = walrus::DiskRStarTree::Open(tree_path);
+    row.open_seconds = timer.ElapsedSeconds();
+    row.resident_bytes = paged_growth.Bytes();
+    std::remove(tree_path.c_str());
+    if (!paged.ok() || !paged->SameArena(*arena)) {
+      std::fprintf(stderr, "%s: decoded arena differs from the built one\n",
+                   corpus);
+      std::exit(1);
+    }
     row.probe = TimeProbes(batches, [&](const std::vector<walrus::Rect>& b) {
-      built->RangeQueryBatch(b, count_hit);
+      paged->RangeQueryBatch(b, count_hit);
     });
-    std::printf("# synthetic paged arena: %zu bytes (%d-entry nodes)\n",
-                built->ResidentBytes(), built->NodeCapacity());
-  }
-  if (!PagedOpen(synthetic_path, &row.open_seconds, &row.resident_bytes)) {
-    return 1;
-  }
-  Print(row, &report);
-  std::remove(synthetic_path.c_str());
-  {
-    walrus::RStarTree tree = walrus::RStarTree::BulkLoad(
-        params.SignatureDim(),
-        SyntheticEntries(memory_index.catalog(), kSyntheticCopies));
-    row = Row("synthetic", "in-memory", synthetic_entries);
-    row.probe = TimeProbes(batches, [&](const std::vector<walrus::Rect>& b) {
-      tree.RangeQueryBatch(b, count_hit);
-    });
-    if (!SaveMemoryTree(tree, tree_path)) return 1;
-  }
-  if (!MemoryOpen(tree_path, &row.open_seconds, &row.resident_bytes)) {
-    return 1;
-  }
-  Print(row, &report);
+    Print(row, &report);
+  };
+  run_corpus("table1",
+             [&] { return CatalogEntries(corpus_index.catalog()); });
+  run_corpus("synthetic", [&] {
+    return SyntheticEntries(corpus_index.catalog(), kSyntheticCopies);
+  });
+  const int64_t synthetic_entries =
+      static_cast<int64_t>(kSyntheticCopies) * regions;
   std::printf("# %lld probe hits counted\n", static_cast<long long>(hits));
 
   report.params()
@@ -293,8 +277,5 @@ int main() {
       .Set("queries", static_cast<int>(batches.size()))
       .Set("repetitions", kRepetitions);
   report.WriteFile();
-  for (const char* suffix : {".catalog", ".pmeta", ".ptree"}) {
-    std::remove((std::string(kPrefix) + suffix).c_str());
-  }
   return 0;
 }

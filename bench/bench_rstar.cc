@@ -109,21 +109,6 @@ void BM_RStarSplitPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_RStarSplitPolicy)->Arg(0)->Arg(1);
 
-void BM_RStarSerialize(benchmark::State& state) {
-  Rng rng(4);
-  RStarTree tree(12);
-  for (int i = 0; i < 10000; ++i) {
-    tree.Insert(Rect::Point(RandomPoint(&rng, 12)),
-                static_cast<uint64_t>(i));
-  }
-  for (auto _ : state) {
-    BinaryWriter writer;
-    tree.Serialize(&writer);
-    benchmark::DoNotOptimize(writer.size());
-  }
-}
-BENCHMARK(BM_RStarSerialize);
-
 }  // namespace
 }  // namespace walrus
 

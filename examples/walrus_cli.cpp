@@ -157,12 +157,11 @@ int CmdInfo(int argc, char** argv) {
   const walrus::WalrusParams& p = index->params();
   std::printf("images:        %zu\n", index->ImageCount());
   std::printf("regions:       %zu\n", index->RegionCount());
-  if (index->is_paged()) {
-    std::printf("tree height:   %d (on disk)\n",
-                index->disk_tree()->height());
-  } else {
-    std::printf("tree height:   %d\n", index->tree().height());
-  }
+  // The height of the tree the index holds: the arena it opened (decoded
+  // from the page file, or built from the catalog).
+  const walrus::DiskRStarTree* arena = index->disk_tree();
+  std::printf("tree height:   %d\n",
+              arena != nullptr ? arena->height() : index->tree().height());
   std::printf("color space:   %s\n", walrus::ColorSpaceName(p.color_space));
   std::printf("signature:     %dx%d per channel (%d dims)\n",
               p.signature_size, p.signature_size, p.SignatureDim());
@@ -175,8 +174,8 @@ int CmdInfo(int argc, char** argv) {
                   : "bounding-box");
   std::printf("backend:       %s\n",
               index->is_paged() ? "paged (disk tree)" : "in-memory tree");
-  // Full consistency check; for a paged index this includes the checksum
-  // sweep over every tree page, which opening alone does not do.
+  // Full consistency check of the catalog, the tree and the two against
+  // each other (a paged open already checked every page's CRC).
   walrus::Status valid = index->ValidateConsistency();
   if (!valid.ok()) {
     std::printf("validation:    %s\n", valid.ToString().c_str());

@@ -66,15 +66,17 @@ def headline_server_c10k(report):
 
 def headline_paged_tree(report):
     rows = {(r["corpus"], r["backend"]): r for r in report["rows"]}
-    paged = rows[("table1", "paged")]
-    memory = rows[("table1", "in-memory")]
-    synthetic = rows[("synthetic", "paged")]
+    arena = rows[("table1", "arena")]
+    dynamic = rows[("table1", "dynamic")]
+    built = rows[("synthetic", "arena")]
+    paged = rows[("synthetic", "paged")]
     return (
-        f"paged probe p50 {paged['probe_p50_ms']:.3f} ms vs in-memory "
-        f"{memory['probe_p50_ms']:.3f} ms; paged tree resident "
-        f"{synthetic['resident_tree_bytes_per_region']:.0f} B/region at "
-        f"{synthetic['entries']} entries, open "
-        f"{synthetic['open_seconds']:.2f} s"
+        f"arena probe p50 {arena['probe_p50_ms']:.3f} ms vs dynamic "
+        f"{dynamic['probe_p50_ms']:.3f} ms; arena resident "
+        f"{built['resident_tree_bytes_per_region']:.0f} B/region at "
+        f"{built['entries']} entries, STR build "
+        f"{built['open_seconds']:.2f} s vs page decode "
+        f"{paged['open_seconds']:.2f} s"
     )
 
 

@@ -65,9 +65,6 @@ Result<ImageRecord> WalrusIndex::ExtractImageRecord(const WalrusParams& params,
 }
 
 Status WalrusIndex::AddImageRecord(ImageRecord record) {
-  if (is_paged()) {
-    return Status::Unimplemented("paged index is read-only");
-  }
   if (catalog_.FindImage(record.image_id) != nullptr) {
     return Status::AlreadyExists("image id " +
                                  std::to_string(record.image_id));
@@ -84,6 +81,9 @@ Status WalrusIndex::AddImageRecord(ImageRecord record) {
           "region id " + std::to_string(region.region_id) +
           " does not fit the 16-bit region payload");
     }
+  }
+  UseDynamicTree();
+  for (const RegionRecord& region : record.regions) {
     Rect rect = use_bbox ? Rect::Bounds(region.bbox_lo, region.bbox_hi)
                          : Rect::Point(region.centroid);
     tree_.Insert(rect, EncodeRegionPayload(record.image_id, region.region_id));
@@ -127,6 +127,7 @@ Status WalrusIndex::AddImages(std::vector<PendingImage> images,
   // Serial insertion (R*-tree and catalog are not thread-safe for writes).
   // Into an empty index, the whole batch is STR-bulk-loaded instead of
   // inserted one entry at a time: faster and tighter nodes.
+  UseDynamicTree();
   bool use_bbox = params_.signature_kind == RegionSignatureKind::kBoundingBox;
   bool bulk = tree_.size() == 0;
   std::vector<std::pair<Rect, uint64_t>> bulk_entries;
@@ -166,6 +167,7 @@ Status WalrusIndex::RemoveImage(uint64_t image_id) {
     return Status::NotFound("image id " + std::to_string(image_id));
   }
   int64_t expected = static_cast<int64_t>(record->regions.size());
+  UseDynamicTree();
   int64_t removed = tree_.DeleteIf([image_id](uint64_t payload) {
     uint64_t payload_image;
     uint32_t region_id;
@@ -189,8 +191,9 @@ Result<WalrusIndex> WalrusIndex::FromRecords(
   for (ImageRecord& record : records) {
     WALRUS_RETURN_IF_ERROR(index.catalog_.AddImage(std::move(record)));
   }
-  index.tree_ = RStarTree::BulkLoad(index.params_.SignatureDim(),
-                                    index.CatalogEntries());
+  WALRUS_ASSIGN_OR_RETURN(index.arena_,
+                          DiskRStarTree::Build(index.params_.SignatureDim(),
+                                               index.CatalogEntries()));
   index.signatures_.Rebuild(index.catalog_);
   if (DeepChecksEnabled()) {
     WALRUS_RETURN_IF_ERROR(index.ValidateConsistency());
@@ -277,8 +280,8 @@ Status WalrusIndex::ProbeRange(
     const Rect& query,
     const std::function<bool(const Rect&, uint64_t)>& visitor,
     int64_t* nodes_visited) const {
-  const int64_t visited = disk_tree_.has_value()
-                              ? disk_tree_->RangeSearchVisit(query, visitor)
+  const int64_t visited = arena_.has_value()
+                              ? arena_->RangeSearchVisit(query, visitor)
                               : tree_.RangeSearchVisit(query, visitor);
   if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
@@ -288,8 +291,8 @@ Status WalrusIndex::ProbeRangeBatch(
     const std::vector<Rect>& probes,
     const std::function<bool(int, const Rect&, uint64_t)>& visitor,
     int64_t* nodes_visited) const {
-  const int64_t visited = disk_tree_.has_value()
-                              ? disk_tree_->RangeQueryBatch(probes, visitor)
+  const int64_t visited = arena_.has_value()
+                              ? arena_->RangeQueryBatch(probes, visitor)
                               : tree_.RangeQueryBatch(probes, visitor);
   if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
@@ -297,8 +300,8 @@ Status WalrusIndex::ProbeRangeBatch(
 
 Result<std::vector<std::pair<uint64_t, double>>> WalrusIndex::ProbeNearest(
     const std::vector<float>& point, int k, int64_t* nodes_visited) const {
-  if (disk_tree_.has_value()) {
-    return disk_tree_->NearestNeighbors(point, k, nodes_visited);
+  if (arena_.has_value()) {
+    return arena_->NearestNeighbors(point, k, nodes_visited);
   }
   return tree_.NearestNeighbors(point, k, nodes_visited);
 }
@@ -385,25 +388,15 @@ Status WalrusIndex::ValidateConsistency() const {
   Rect everything =
       Rect::Bounds(std::vector<float>(dim, std::numeric_limits<float>::lowest()),
                    std::vector<float>(dim, std::numeric_limits<float>::max()));
-  if (disk_tree_.has_value()) {
-    WALRUS_RETURN_IF_ERROR(disk_tree_->Validate());
-    if (disk_tree_->size() != static_cast<int64_t>(expected.size())) {
-      return Status::Internal(
-          "index: page tree holds " + std::to_string(disk_tree_->size()) +
-          " entries, catalog has " + std::to_string(expected.size()) +
-          " regions");
-    }
-    disk_tree_->RangeSearchVisit(everything, visitor);
-  } else {
-    WALRUS_RETURN_IF_ERROR(tree_.Validate());
-    if (tree_.size() != static_cast<int64_t>(expected.size())) {
-      return Status::Internal(
-          "index: tree holds " + std::to_string(tree_.size()) +
-          " entries, catalog has " + std::to_string(expected.size()) +
-          " regions");
-    }
-    tree_.RangeSearchVisit(everything, visitor);
+  WALRUS_RETURN_IF_ERROR(arena_.has_value() ? arena_->Validate()
+                                             : tree_.Validate());
+  const int64_t tree_size = arena_.has_value() ? arena_->size() : tree_.size();
+  if (tree_size != static_cast<int64_t>(expected.size())) {
+    return Status::Internal("index: tree holds " + std::to_string(tree_size) +
+                            " entries, catalog has " +
+                            std::to_string(expected.size()) + " regions");
   }
+  WALRUS_RETURN_IF_ERROR(ProbeRange(everything, visitor));
   WALRUS_RETURN_IF_ERROR(mismatch);
   if (!by_payload.empty()) {
     return Status::Internal("index: " + std::to_string(by_payload.size()) +
@@ -412,63 +405,82 @@ Status WalrusIndex::ValidateConsistency() const {
   return Status::OK();
 }
 
+void WalrusIndex::UseDynamicTree() {
+  if (!arena_.has_value()) return;
+  tree_ = RStarTree::BulkLoad(params_.SignatureDim(), CatalogEntries());
+  arena_.reset();
+  paged_ = false;
+}
+
+Result<WalrusIndex> WalrusIndex::Load(const std::string& path_prefix,
+                                      bool paged) {
+  WALRUS_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> bytes,
+      ReadFileBytes(path_prefix + (paged ? ".pmeta" : ".index")));
+  BinaryReader reader(bytes);
+  WALRUS_ASSIGN_OR_RETURN(WalrusParams params, DeserializeParams(&reader));
+  WalrusIndex index(params);
+  WALRUS_ASSIGN_OR_RETURN(index.catalog_,
+                          Catalog::LoadFromFile(path_prefix + ".catalog"));
+  // Files spliced from indexes with other params are refused before any
+  // tree is built or decoded from them.
+  const size_t dim = static_cast<size_t>(params.SignatureDim());
+  const bool use_bbox =
+      params.signature_kind == RegionSignatureKind::kBoundingBox;
+  for (const ImageRecord& record : index.catalog_.images()) {
+    for (const RegionRecord& region : record.regions) {
+      if (region.centroid.size() != dim ||
+          (use_bbox &&
+           (region.bbox_lo.size() != dim || region.bbox_hi.size() != dim))) {
+        return Status::Corruption(
+            "index: image " + std::to_string(record.image_id) +
+            " has a region signature of another dimension than the params' " +
+            std::to_string(dim));
+      }
+    }
+  }
+  if (paged) {
+    WALRUS_ASSIGN_OR_RETURN(index.arena_,
+                            DiskRStarTree::Open(path_prefix + ".ptree"));
+    if (index.arena_->dim() != params.SignatureDim()) {
+      return Status::Corruption("paged index: tree/params dimension mismatch");
+    }
+  } else {
+    WALRUS_ASSIGN_OR_RETURN(
+        index.arena_,
+        DiskRStarTree::Build(params.SignatureDim(), index.CatalogEntries()));
+  }
+  index.paged_ = paged;
+  index.signatures_.Rebuild(index.catalog_);
+  return index;
+}
+
 Status WalrusIndex::SavePaged(const std::string& path_prefix) const {
   WALRUS_RETURN_IF_ERROR(catalog_.SaveToFile(path_prefix + ".catalog"));
   BinaryWriter writer;
   SerializeParams(params_, &writer);
   WALRUS_RETURN_IF_ERROR(
       WriteFileBytes(path_prefix + ".pmeta", writer.buffer()));
+  if (arena_.has_value()) return arena_->Save(path_prefix + ".ptree");
   WALRUS_ASSIGN_OR_RETURN(
       DiskRStarTree tree,
-      DiskRStarTree::Build(path_prefix + ".ptree", params_.SignatureDim(),
-                           CatalogEntries()));
-  (void)tree;
-  return Status::OK();
+      DiskRStarTree::Build(params_.SignatureDim(), CatalogEntries()));
+  return tree.Save(path_prefix + ".ptree");
 }
 
 Result<WalrusIndex> WalrusIndex::OpenPaged(const std::string& path_prefix) {
-  WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                          ReadFileBytes(path_prefix + ".pmeta"));
-  BinaryReader reader(bytes);
-  WALRUS_ASSIGN_OR_RETURN(WalrusParams params, DeserializeParams(&reader));
-  WALRUS_ASSIGN_OR_RETURN(DiskRStarTree tree,
-                          DiskRStarTree::Open(path_prefix + ".ptree"));
-  if (tree.dim() != params.SignatureDim()) {
-    return Status::Corruption("paged index: tree/params dimension mismatch");
-  }
-  WALRUS_ASSIGN_OR_RETURN(Catalog catalog,
-                          Catalog::LoadFromFile(path_prefix + ".catalog"));
-  WalrusIndex index(params);
-  index.catalog_ = std::move(catalog);
-  index.signatures_.Rebuild(index.catalog_);
-  index.disk_tree_.emplace(std::move(tree));
-  return index;
+  return Load(path_prefix, /*paged=*/true);
 }
 
 Status WalrusIndex::Save(const std::string& path_prefix) const {
   WALRUS_RETURN_IF_ERROR(catalog_.SaveToFile(path_prefix + ".catalog"));
   BinaryWriter writer;
   SerializeParams(params_, &writer);
-  tree_.Serialize(&writer);
   return WriteFileBytes(path_prefix + ".index", writer.buffer());
 }
 
 Result<WalrusIndex> WalrusIndex::Open(const std::string& path_prefix) {
-  WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                          ReadFileBytes(path_prefix + ".index"));
-  BinaryReader reader(bytes);
-  WALRUS_ASSIGN_OR_RETURN(WalrusParams params, DeserializeParams(&reader));
-  WALRUS_ASSIGN_OR_RETURN(RStarTree tree, RStarTree::Deserialize(&reader));
-  if (tree.dim() != params.SignatureDim()) {
-    return Status::Corruption("index: tree/params dimension mismatch");
-  }
-  WALRUS_ASSIGN_OR_RETURN(Catalog catalog,
-                          Catalog::LoadFromFile(path_prefix + ".catalog"));
-  WalrusIndex index(params);
-  index.tree_ = std::move(tree);
-  index.catalog_ = std::move(catalog);
-  index.signatures_.Rebuild(index.catalog_);
-  return index;
+  return Load(path_prefix, /*paged=*/false);
 }
 
 }  // namespace walrus

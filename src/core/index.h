@@ -27,7 +27,14 @@ void DecodeRegionPayload(uint64_t payload, uint64_t* image_id,
 /// The WALRUS image database: every indexed image is decomposed into
 /// regions (section 5.3); region signatures go into an R*-tree (section
 /// 5.4) and region metadata (centroid, signature bounding box, coverage
-/// bitmap) into the catalog. Both parts serialize to disk.
+/// bitmap) into the catalog, the persisted source of truth.
+///
+/// One rule picks the tree. FromRecords, Open and OpenPaged hold the
+/// immutable arena (DiskRStarTree). The first mutation (AddImage(s),
+/// AddImageRecord, RemoveImage) moves the index onto the dynamic RStarTree,
+/// bulk-loaded from the catalog; files are never touched. Both trees give
+/// the same probe hits and k nearest neighbours, so rankings do not depend
+/// on which one an index holds.
 class WalrusIndex {
  public:
   /// Empty index. `params` fixes the extraction settings and the signature
@@ -44,20 +51,22 @@ class WalrusIndex {
   const WalrusParams& params() const { return params_; }
   /// Image + region metadata store (names, areas, signatures, bitmaps).
   const Catalog& catalog() const { return catalog_; }
-  /// The in-memory R*-tree. Empty when the index was opened paged
-  /// (is_paged()); use ProbeRange/ProbeNearest, which dispatch correctly.
+  /// The dynamic R*-tree; empty while the index holds the arena
+  /// (disk_tree()). ProbeRange/ProbeNearest dispatch to the one held.
   const RStarTree& tree() const { return tree_; }
 
   /// The binary prefilter tier (core/signature_filter.h), maintained in
   /// lockstep with the catalog by every mutation and load path.
   const SignatureStore& signatures() const { return signatures_; }
 
-  /// True when region probes are served from the on-disk page tree.
-  bool is_paged() const { return disk_tree_.has_value(); }
+  /// True while probes are served from the page tree OpenPaged decoded
+  /// (query stats then count node visits as page reads).
+  bool is_paged() const { return paged_; }
 
-  /// The paged backend, or nullptr for in-memory indexes (IO diagnostics).
+  /// The arena the index probes, or nullptr when it holds the dynamic
+  /// tree().
   const DiskRStarTree* disk_tree() const {
-    return disk_tree_.has_value() ? &*disk_tree_ : nullptr;
+    return arena_.has_value() ? &*arena_ : nullptr;
   }
 
   /// Region-signature probe: streams every indexed region whose rect
@@ -113,7 +122,7 @@ class WalrusIndex {
   /// so an index grown by AddImageRecord answers probes identically to one
   /// rebuilt offline from the same records. AlreadyExists on a duplicate
   /// id; InvalidArgument when an id or region id overflows the packed
-  /// payload; Unimplemented on a paged (read-only) index.
+  /// payload.
   [[nodiscard]] Status AddImageRecord(ImageRecord record);
 
   /// One image of a batch insert.
@@ -131,7 +140,7 @@ class WalrusIndex {
                                  int num_threads = 0);
 
   /// Builds an index directly from already-extracted catalog records,
-  /// STR-bulk-loading the tree from their region signatures. This is the
+  /// STR-bulk-loading the arena from their region signatures. This is the
   /// repartitioning path: ShardedIndex::Partition slices one index's
   /// catalog by shard and rebuilds each slice without re-running region
   /// extraction. Fails on duplicate image ids.
@@ -146,23 +155,23 @@ class WalrusIndex {
   [[nodiscard]] Result<double> ImageArea(uint64_t image_id) const;
 
   /// Persists to `<path_prefix>.catalog` (page file) and
-  /// `<path_prefix>.index` (params + R*-tree).
+  /// `<path_prefix>.index` (params); Open rebuilds the tree.
   [[nodiscard]] Status Save(const std::string& path_prefix) const;
 
-  /// Loads an index previously written by Save.
+  /// Loads an index written by Save and STR-builds its arena from the
+  /// catalog (bytes after the params in `.index`, an older tree format,
+  /// are ignored). Corruption when a catalog signature's length disagrees
+  /// with the params.
   [[nodiscard]] static Result<WalrusIndex> Open(const std::string& path_prefix);
 
-  /// Persists with a disk-resident page tree instead of the serialized
-  /// in-memory tree: `<path_prefix>.catalog`, `<path_prefix>.pmeta`
-  /// (params) and `<path_prefix>.ptree` (one R-tree node per page) -- the
-  /// paper's "disk-based index" deployment. An index opened with
-  /// OpenPaged answers queries from the tree decoded into memory at open.
+  /// Persists `<path_prefix>.catalog`, `<path_prefix>.pmeta` (params) and
+  /// `<path_prefix>.ptree` (the arena, one node per page) -- the paper's
+  /// "disk-based index" deployment.
   [[nodiscard]] Status SavePaged(const std::string& path_prefix) const;
 
-  /// Opens a paged index written by SavePaged. The page tree is loaded
-  /// and checked once (DiskRStarTree::Open), so a corrupt tree page is
-  /// refused here. The returned index is read-only: AddImage/RemoveImage
-  /// on it fail the id checks as usual but the page tree never changes.
+  /// Opens a paged index written by SavePaged, decoding and checking the
+  /// page tree once (DiskRStarTree::Open), so a corrupt tree page is
+  /// refused here, as is a catalog signature of another dimension.
   [[nodiscard]] static Result<WalrusIndex> OpenPaged(
       const std::string& path_prefix);
 
@@ -180,11 +189,18 @@ class WalrusIndex {
   /// layout the trees index.
   std::vector<std::pair<Rect, uint64_t>> CatalogEntries() const;
 
+  /// Open, or OpenPaged when `paged`.
+  static Result<WalrusIndex> Load(const std::string& path_prefix, bool paged);
+
+  /// The mutation hand-off (class comment); no-op on the dynamic tree.
+  void UseDynamicTree();
+
   WalrusParams params_;
   Catalog catalog_;
   RStarTree tree_;
   SignatureStore signatures_;
-  std::optional<DiskRStarTree> disk_tree_;
+  std::optional<DiskRStarTree> arena_;
+  bool paged_ = false;
 };
 
 /// Serializes params (used by Save/Open; exposed for tests).

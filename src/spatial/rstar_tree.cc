@@ -608,34 +608,10 @@ int64_t RStarTree::RangeSearchVisit(
     const Rect& query,
     const std::function<bool(const Rect&, uint64_t)>& visitor) const {
   WALRUS_CHECK_EQ(query.dim(), dim_);
-  static Counter* const probes =
-      MetricsRegistry::Global().GetCounter("walrus.rstar.range_probes");
-  static Counter* const nodes =
-      MetricsRegistry::Global().GetCounter("walrus.rstar.nodes_visited");
-  probes->Increment();
-  // Accumulate locally so concurrent read-only searches do not race.
-  int64_t visited = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++visited;
-    for (const Entry& e : node->entries) {
-      if (!e.rect.Intersects(query)) continue;
-      if (node->is_leaf()) {
-        if (!visitor(e.rect, e.payload)) {
-          last_nodes_visited_.store(visited, std::memory_order_relaxed);
-          nodes->Increment(static_cast<uint64_t>(visited));
-          return visited;
-        }
-      } else {
-        stack.push_back(e.child.get());
-      }
-    }
-  }
-  last_nodes_visited_.store(visited, std::memory_order_relaxed);
-  nodes->Increment(static_cast<uint64_t>(visited));
-  return visited;
+  return Traverse({query}, [&visitor](int, const Rect& rect,
+                                      uint64_t payload) {
+    return visitor(rect, payload);
+  });
 }
 
 int64_t RStarTree::RangeQueryBatch(
@@ -643,6 +619,13 @@ int64_t RStarTree::RangeQueryBatch(
     const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
   static Counter* const batch_probes =
       MetricsRegistry::Global().GetCounter("walrus.rstar.batch_probes");
+  batch_probes->Increment();
+  return Traverse(probes, visitor);
+}
+
+int64_t RStarTree::Traverse(
+    const std::vector<Rect>& probes,
+    const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
   static Counter* const range_probes =
       MetricsRegistry::Global().GetCounter("walrus.rstar.range_probes");
   static Counter* const nodes =
@@ -650,7 +633,6 @@ int64_t RStarTree::RangeQueryBatch(
   static Histogram* const occupancy =
       MetricsRegistry::Global().GetHistogram("walrus.probe.batch_occupancy",
                                              ExponentialBuckets(1, 2, 12));
-  batch_probes->Increment();
   // A batch of N probes answers N range probes; keep the per-probe counter
   // meaningful regardless of traversal strategy.
   range_probes->Increment(static_cast<uint64_t>(probes.size()));
@@ -857,8 +839,6 @@ std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
   return result;
 }
 
-Rect RStarTree::BoundingRect() const { return root_->ComputeBoundingRect(dim_); }
-
 Status RStarTree::Validate() const {
   // Walk the tree iteratively; validate levels, fills and bounding rects.
   struct Item {
@@ -1062,115 +1042,6 @@ RStarTree RStarTree::BulkLoad(int dim,
   tree.root_ = std::move(level[0]);
   tree.root_->parent = nullptr;
   tree.size_ = static_cast<int64_t>(entries.size());
-  return tree;
-}
-
-namespace {
-
-void SerializeRect(const Rect& rect, BinaryWriter* writer) {
-  writer->PutU8(rect.IsEmpty() ? 1 : 0);
-  writer->PutU32(static_cast<uint32_t>(rect.dim()));
-  for (int i = 0; i < rect.dim(); ++i) writer->PutFloat(rect.lo(i));
-  for (int i = 0; i < rect.dim(); ++i) writer->PutFloat(rect.hi(i));
-}
-
-Result<Rect> DeserializeRect(BinaryReader* reader) {
-  WALRUS_ASSIGN_OR_RETURN(uint8_t empty, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint32_t dim, reader->GetU32());
-  if (dim > 4096) return Status::Corruption("rect: absurd dimension");
-  std::vector<float> lo(dim), hi(dim);
-  for (uint32_t i = 0; i < dim; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(lo[i], reader->GetFloat());
-  }
-  for (uint32_t i = 0; i < dim; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(hi[i], reader->GetFloat());
-  }
-  if (empty != 0) return Rect::Empty(static_cast<int>(dim));
-  // Untrusted input: reject inverted or NaN bounds with an error instead of
-  // tripping Rect::Bounds' programmer-error check.
-  for (uint32_t i = 0; i < dim; ++i) {
-    if (!(lo[i] <= hi[i])) {
-      return Status::Corruption("rect: inverted or NaN bounds");
-    }
-  }
-  return Rect::Bounds(std::move(lo), std::move(hi));
-}
-
-}  // namespace
-
-void RStarTree::Serialize(BinaryWriter* writer) const {
-  WALRUS_CHECK(writer != nullptr);
-  writer->PutU32(0x52535452);  // "RSTR"
-  writer->PutU32(static_cast<uint32_t>(dim_));
-  writer->PutU32(static_cast<uint32_t>(params_.max_entries));
-  writer->PutDouble(params_.reinsert_fraction);
-  writer->PutU8(static_cast<uint8_t>(params_.split_policy));
-  writer->PutU8(params_.use_forced_reinsert ? 1 : 0);
-  writer->PutU64(static_cast<uint64_t>(size_));
-
-  // Pre-order dump.
-  std::function<void(const Node*)> dump = [&](const Node* node) {
-    writer->PutU32(static_cast<uint32_t>(node->level));
-    writer->PutU32(static_cast<uint32_t>(node->entries.size()));
-    for (const Entry& e : node->entries) {
-      SerializeRect(e.rect, writer);
-      if (node->is_leaf()) {
-        writer->PutU64(e.payload);
-      } else {
-        dump(e.child.get());
-      }
-    }
-  };
-  dump(root_.get());
-}
-
-Result<RStarTree> RStarTree::Deserialize(BinaryReader* reader) {
-  WALRUS_CHECK(reader != nullptr);
-  WALRUS_ASSIGN_OR_RETURN(uint32_t magic, reader->GetU32());
-  if (magic != 0x52535452) return Status::Corruption("rstar: bad magic");
-  WALRUS_ASSIGN_OR_RETURN(uint32_t dim, reader->GetU32());
-  WALRUS_ASSIGN_OR_RETURN(uint32_t max_entries, reader->GetU32());
-  WALRUS_ASSIGN_OR_RETURN(double reinsert_fraction, reader->GetDouble());
-  WALRUS_ASSIGN_OR_RETURN(uint8_t split_policy, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint8_t forced_reinsert, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint64_t size, reader->GetU64());
-  if (dim == 0 || max_entries < 4 || split_policy > 1) {
-    return Status::Corruption("rstar: header");
-  }
-
-  RStarParams params;
-  params.max_entries = static_cast<int>(max_entries);
-  params.reinsert_fraction = reinsert_fraction;
-  params.split_policy = static_cast<SplitPolicy>(split_policy);
-  params.use_forced_reinsert = forced_reinsert != 0;
-  RStarTree tree(static_cast<int>(dim), params);
-
-  std::function<Result<std::unique_ptr<Node>>()> load =
-      [&]() -> Result<std::unique_ptr<Node>> {
-    WALRUS_ASSIGN_OR_RETURN(uint32_t level, reader->GetU32());
-    WALRUS_ASSIGN_OR_RETURN(uint32_t count, reader->GetU32());
-    if (count > max_entries + 1) return Status::Corruption("rstar: count");
-    auto node = std::make_unique<Node>();
-    node->level = static_cast<int>(level);
-    node->entries.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Entry e;
-      WALRUS_ASSIGN_OR_RETURN(e.rect, DeserializeRect(reader));
-      if (level == 0) {
-        WALRUS_ASSIGN_OR_RETURN(e.payload, reader->GetU64());
-      } else {
-        WALRUS_ASSIGN_OR_RETURN(e.child, load());
-        if (e.child->level != node->level - 1) {
-          return Status::Corruption("rstar: level chain");
-        }
-        e.child->parent = node.get();
-      }
-      node->entries.push_back(std::move(e));
-    }
-    return node;
-  };
-  WALRUS_ASSIGN_OR_RETURN(tree.root_, load());
-  tree.size_ = static_cast<int64_t>(size);
   return tree;
 }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/serialize.h"
 #include "common/status.h"
 #include "spatial/rect.h"
 
@@ -36,9 +35,10 @@ struct RStarParams {
   bool use_forced_reinsert = true;
 };
 
-/// In-memory R*-tree over (Rect, uint64 payload) entries with file
-/// serialization. WALRUS stores one entry per image region: the rect is the
-/// region signature (a point for centroid signatures, a box for
+/// In-memory R*-tree over (Rect, uint64 payload) entries: the dynamic tree
+/// of a mutated index (storage/disk_rstar.h serves bulk-loaded ones).
+/// WALRUS stores one entry per image region: the rect is the region
+/// signature (a point for centroid signatures, a box for
 /// bounding-box signatures) and the payload identifies (image, region).
 ///
 /// Implements the R* heuristics: ChooseSubtree with minimum overlap
@@ -76,7 +76,8 @@ class RStarTree {
   std::vector<uint64_t> RangeSearch(const Rect& query) const;
 
   /// Like RangeSearch but streams results to `visitor`; return false from
-  /// the visitor to stop early. Returns the nodes this call visited.
+  /// the visitor to stop early. A one-probe RangeQueryBatch traversal.
+  /// Returns the nodes this call visited.
   int64_t RangeSearchVisit(
       const Rect& query,
       const std::function<bool(const Rect&, uint64_t)>& visitor) const;
@@ -117,9 +118,6 @@ class RStarTree {
     return last_nodes_visited_.load(std::memory_order_relaxed);
   }
 
-  /// Bounding rect of everything in the tree (empty rect when empty).
-  Rect BoundingRect() const;
-
   /// Deep structural validation: every child MBR is contained in (and the
   /// stored parent rect equals) its subtree's bounding rect, min/max fan-out
   /// is respected, levels decrease by one toward uniform-depth leaves,
@@ -128,10 +126,6 @@ class RStarTree {
   /// first violation. O(n); invoked from tests and, when DeepChecksEnabled(),
   /// after index mutations.
   Status Validate() const;
-
-  /// Serialization (bulk dump/load of the tree structure).
-  void Serialize(BinaryWriter* writer) const;
-  static Result<RStarTree> Deserialize(BinaryReader* reader);
 
   /// Sort-Tile-Recursive bulk loading [Leutenegger et al.]: packs the
   /// entries bottom-up into a tree with near-full nodes. Much faster than
@@ -157,6 +151,10 @@ class RStarTree {
   void QuadraticSplitGroups(const Node* node, std::vector<int>* left,
                             std::vector<int>* right) const;
   void AdjustUpward(Node* node);
+  /// The shared batch traversal behind RangeSearchVisit/RangeQueryBatch.
+  int64_t Traverse(
+      const std::vector<Rect>& probes,
+      const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
   /// Dissolves underfull ancestors of `leaf` and re-inserts their entries;
   /// shrinks the root when it has a single child.
   void CondenseTree(Node* leaf);

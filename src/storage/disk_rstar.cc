@@ -46,28 +46,10 @@ size_t EntryBytes(int dim) { return static_cast<size_t>(dim) * 8 + 8; }
 
 int CapacityFor(uint32_t page_size, int dim) {
   // The page file reserves its CRC-32 trailer at the end of every page.
-  return static_cast<int>(
-      (page_size - kNodeHeaderBytes - PageFile::kChecksumBytes) /
-      EntryBytes(dim));
-}
-
-void PutU16At(std::vector<uint8_t>* page, size_t pos, uint16_t v) {
-  (*page)[pos] = static_cast<uint8_t>(v);
-  (*page)[pos + 1] = static_cast<uint8_t>(v >> 8);
-}
-
-void PutU64At(std::vector<uint8_t>* page, size_t pos, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    (*page)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void PutF32At(std::vector<uint8_t>* page, size_t pos, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  for (int i = 0; i < 4; ++i) {
-    (*page)[pos + i] = static_cast<uint8_t>(bits >> (8 * i));
-  }
+  const int64_t body =
+      static_cast<int64_t>(page_size) -
+      static_cast<int64_t>(kNodeHeaderBytes + PageFile::kChecksumBytes);
+  return static_cast<int>(body / static_cast<int64_t>(EntryBytes(dim)));
 }
 
 uint64_t GetLeAt(const std::vector<uint8_t>& page, size_t pos, int bytes) {
@@ -85,141 +67,54 @@ float GetF32At(const std::vector<uint8_t>& page, size_t pos) {
   return value;
 }
 
-/// Serializes one node into a fresh page image.
-std::vector<uint8_t> EncodeNode(uint32_t page_size, int dim, bool is_leaf,
-                                const std::vector<Rect>& rects,
-                                const std::vector<uint64_t>& values) {
-  std::vector<uint8_t> page(page_size, 0);
-  page[0] = is_leaf ? 1 : 0;
-  PutU16At(&page, 2, static_cast<uint16_t>(rects.size()));
-  size_t at = kNodeHeaderBytes;
-  for (size_t i = 0; i < rects.size(); ++i) {
+/// Sort-Tile-Recursive leaf order of `entries` (the recursive tiling of
+/// RStarTree::BulkLoad, specialized to produce a flat order): consecutive
+/// runs of `capacity` entries become the leaves.
+std::vector<uint32_t> StrOrder(
+    const std::vector<std::pair<Rect, uint64_t>>& entries, int dim,
+    int capacity) {
+  std::vector<uint32_t> order(entries.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  // Sorts run on (center, index) pairs gathered from one dense center
+  // matrix, so they never chase the rects' heap planes; the index breaks
+  // ties, so the order is a function of the entries alone.
+  std::vector<float> centers(entries.size() * dim);
+  for (size_t i = 0; i < entries.size(); ++i) {
     for (int d = 0; d < dim; ++d) {
-      PutF32At(&page, at, rects[i].lo(d));
-      at += 4;
+      centers[i * dim + d] = entries[i].first.lo(d) + entries[i].first.hi(d);
     }
-    for (int d = 0; d < dim; ++d) {
-      PutF32At(&page, at, rects[i].hi(d));
-      at += 4;
+  }
+  std::vector<std::pair<float, uint32_t>> keyed;
+  std::function<void(size_t, size_t, int)> tile = [&](size_t begin,
+                                                      size_t end,
+                                                      int dim_index) {
+    const size_t n = end - begin;
+    if (n <= static_cast<size_t>(capacity)) return;
+    keyed.clear();
+    for (size_t i = begin; i < end; ++i) {
+      keyed.emplace_back(centers[order[i] * static_cast<size_t>(dim) +
+                                 dim_index],
+                         order[i]);
     }
-    PutU64At(&page, at, values[i]);
-    at += 8;
-  }
-  return page;
-}
-
-/// STR-packs `entries` into a new page file at `path` (page layout in
-/// disk_rstar.h).
-Status WriteTree(const std::string& path, int dim,
-                 std::vector<std::pair<Rect, uint64_t>> entries,
-                 uint32_t page_size) {
-  if (dim < 1) return Status::InvalidArgument("disk rstar: dim must be >= 1");
-  int capacity = CapacityFor(page_size, dim);
-  if (capacity < 2) {
-    return Status::InvalidArgument(
-        "disk rstar: page too small for dimension " + std::to_string(dim));
-  }
-  WALRUS_ASSIGN_OR_RETURN(PageFile file, PageFile::Create(path, page_size));
-
-  // STR order the leaf entries (same recursive tiling as
-  // RStarTree::BulkLoad, specialized to produce a flat order).
-  std::vector<int> order(entries.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::function<void(int, int, int)> tile = [&](int begin, int end,
-                                                int dim_index) {
-    int n = end - begin;
-    if (n <= capacity) return;
-    std::sort(order.begin() + begin, order.begin() + end, [&](int a, int b) {
-      const Rect& ra = entries[a].first;
-      const Rect& rb = entries[b].first;
-      return ra.lo(dim_index) + ra.hi(dim_index) <
-             rb.lo(dim_index) + rb.hi(dim_index);
-    });
-    int num_groups = (n + capacity - 1) / capacity;
-    int slabs = static_cast<int>(std::ceil(
+    std::sort(keyed.begin(), keyed.end());
+    for (size_t i = 0; i < n; ++i) order[begin + i] = keyed[i].second;
+    const size_t num_groups = (n + capacity - 1) / capacity;
+    size_t slabs = static_cast<size_t>(std::ceil(
         std::pow(static_cast<double>(num_groups),
                  1.0 / static_cast<double>(std::max(1, dim - dim_index)))));
-    slabs = std::max(1, std::min(slabs, num_groups));
+    slabs = std::max<size_t>(1, std::min(slabs, num_groups));
     if (dim_index + 1 >= dim || slabs <= 1) return;  // sorted run is enough
-    int base = n / slabs;
-    int extra = n % slabs;
-    int at = begin;
-    for (int s = 0; s < slabs; ++s) {
-      int size = base + (s < extra ? 1 : 0);
+    const size_t base = n / slabs;
+    const size_t extra = n % slabs;
+    size_t at = begin;
+    for (size_t s = 0; s < slabs; ++s) {
+      const size_t size = base + (s < extra ? 1 : 0);
       tile(at, at + size, dim_index + 1);
       at += size;
     }
   };
-  if (!entries.empty()) {
-    tile(0, static_cast<int>(entries.size()), 0);
-  }
-
-  // Write the leaf level.
-  struct Pending {
-    Rect rect;
-    uint32_t page;
-  };
-  std::vector<Pending> level;
-  for (size_t begin = 0; begin < entries.size(); begin += capacity) {
-    size_t end = std::min(entries.size(), begin + capacity);
-    std::vector<Rect> rects;
-    std::vector<uint64_t> values;
-    Rect bounds = Rect::Empty(dim);
-    for (size_t i = begin; i < end; ++i) {
-      rects.push_back(entries[order[i]].first);
-      values.push_back(entries[order[i]].second);
-      bounds.ExpandToInclude(entries[order[i]].first);
-    }
-    WALRUS_ASSIGN_OR_RETURN(uint32_t page_id, file.AllocatePage());
-    WALRUS_RETURN_IF_ERROR(file.WritePage(
-        page_id, EncodeNode(page_size, dim, /*is_leaf=*/true, rects, values)));
-    level.push_back({bounds, page_id});
-  }
-  int height = level.empty() ? 0 : 1;
-
-  // Pack upper levels until one root remains.
-  while (level.size() > 1) {
-    ++height;
-    // Order parents by the dim-0 center of their child rects.
-    std::vector<int> parent_order(level.size());
-    for (size_t i = 0; i < parent_order.size(); ++i) {
-      parent_order[i] = static_cast<int>(i);
-    }
-    std::sort(parent_order.begin(), parent_order.end(), [&](int a, int b) {
-      return level[a].rect.lo(0) + level[a].rect.hi(0) <
-             level[b].rect.lo(0) + level[b].rect.hi(0);
-    });
-    std::vector<Pending> next;
-    for (size_t begin = 0; begin < level.size(); begin += capacity) {
-      size_t end = std::min(level.size(), begin + capacity);
-      std::vector<Rect> rects;
-      std::vector<uint64_t> values;
-      Rect bounds = Rect::Empty(dim);
-      for (size_t i = begin; i < end; ++i) {
-        const Pending& child = level[parent_order[i]];
-        rects.push_back(child.rect);
-        values.push_back(child.page);
-        bounds.ExpandToInclude(child.rect);
-      }
-      WALRUS_ASSIGN_OR_RETURN(uint32_t page_id, file.AllocatePage());
-      WALRUS_RETURN_IF_ERROR(file.WritePage(
-          page_id,
-          EncodeNode(page_size, dim, /*is_leaf=*/false, rects, values)));
-      next.push_back({bounds, page_id});
-    }
-    level = std::move(next);
-  }
-
-  // Metadata blob last (its head page = page_count - 1, like the catalog).
-  BinaryWriter meta;
-  meta.PutU32(kMetaMagic);
-  meta.PutU32(static_cast<uint32_t>(dim));
-  meta.PutU64(static_cast<uint64_t>(entries.size()));
-  meta.PutU32(static_cast<uint32_t>(height));
-  meta.PutU32(level.empty() ? 0 : level[0].page);
-  WALRUS_ASSIGN_OR_RETURN(BlobRef meta_ref, file.WriteBlob(meta.buffer()));
-  (void)meta_ref;
-  return file.Sync();
+  tile(0, entries.size(), 0);
+  return order;
 }
 
 }  // namespace
@@ -234,11 +129,196 @@ size_t DiskRStarTree::ResidentBytes() const {
          values_.size() * sizeof(uint64_t);
 }
 
+DiskRStarTree::Node DiskRStarTree::AppendNode(bool is_leaf, int count) {
+  Node node;
+  node.entry = static_cast<uint32_t>(values_.size());
+  node.count = static_cast<uint16_t>(count);
+  node.is_leaf = is_leaf;
+  values_.resize(values_.size() + count);
+  lo_.resize(lo_.size() + static_cast<size_t>(dim_) * count);
+  hi_.resize(hi_.size() + static_cast<size_t>(dim_) * count);
+  nodes_.push_back(node);
+  return node;
+}
+
+void DiskRStarTree::SetEntry(const Node& node, int i, const float* lo,
+                             const float* hi, uint64_t value) {
+  // Bound d of entry i lands at plane d, slot i.
+  float* plo = lo_.data() + static_cast<size_t>(node.entry) * dim_ + i;
+  float* phi = hi_.data() + static_cast<size_t>(node.entry) * dim_ + i;
+  for (int d = 0; d < dim_; ++d) {
+    plo[static_cast<size_t>(d) * node.count] = lo[d];
+    phi[static_cast<size_t>(d) * node.count] = hi[d];
+  }
+  values_[node.entry + i] = value;
+}
+
 Result<DiskRStarTree> DiskRStarTree::Build(
-    const std::string& path, int dim,
-    std::vector<std::pair<Rect, uint64_t>> entries, uint32_t page_size) {
-  WALRUS_RETURN_IF_ERROR(WriteTree(path, dim, std::move(entries), page_size));
-  return Open(path);
+    int dim, std::vector<std::pair<Rect, uint64_t>> entries,
+    uint32_t page_size) {
+  if (dim < 1) return Status::InvalidArgument("disk rstar: dim must be >= 1");
+  const size_t capacity =
+      static_cast<size_t>(std::max(0, CapacityFor(page_size, dim)));
+  if (capacity < 2 || capacity > std::numeric_limits<uint16_t>::max()) {
+    return Status::InvalidArgument("disk rstar: page size " +
+                                   std::to_string(page_size) +
+                                   " does not fit dimension " +
+                                   std::to_string(dim));
+  }
+  for (const auto& [rect, payload] : entries) {
+    // Refuse what Open would: empty, inverted or NaN bounds.
+    bool ok = rect.dim() == dim && !rect.IsEmpty();
+    for (int d = 0; d < dim && ok; ++d) ok = rect.lo(d) <= rect.hi(d);
+    if (!ok) {
+      return Status::InvalidArgument("disk rstar: bad entry rect, payload " +
+                                     std::to_string(payload));
+    }
+  }
+  DiskRStarTree tree;
+  tree.page_size_ = page_size;
+  tree.dim_ = dim;
+  tree.size_ = static_cast<int64_t>(entries.size());
+  if (entries.empty()) return tree;
+
+  // Group bottom up. groups[k] lists level k's members in node order --
+  // entry indices at the leaves, node indices of level k - 1 above -- so
+  // node j of level k holds groups[k][j * capacity, (j + 1) * capacity).
+  // Each level above the leaves orders the nodes below by the dim-0
+  // center of their bounds; span holds those dim-0 bounds.
+  std::vector<std::vector<uint32_t>> groups = {
+      StrOrder(entries, dim, static_cast<int>(capacity))};
+  std::vector<std::pair<float, float>> span;
+  for (const auto& [rect, payload] : entries) {
+    span.emplace_back(rect.lo(0), rect.hi(0));
+  }
+  size_t total_entries = entries.size();  // plus one per non-root node
+  while (groups.back().size() > capacity) {
+    const std::vector<uint32_t>& members = groups.back();
+    const size_t nodes = (members.size() + capacity - 1) / capacity;
+    std::vector<std::pair<float, float>> node_span(
+        nodes, {std::numeric_limits<float>::max(),
+                std::numeric_limits<float>::lowest()});
+    for (size_t m = 0; m < members.size(); ++m) {
+      auto& [lo, hi] = node_span[m / capacity];
+      lo = std::min(lo, span[members[m]].first);
+      hi = std::max(hi, span[members[m]].second);
+    }
+    std::vector<uint32_t> order(nodes);
+    for (size_t i = 0; i < nodes; ++i) order[i] = static_cast<uint32_t>(i);
+    std::sort(order.begin(), order.end(),
+              [&node_span](uint32_t a, uint32_t b) {
+                return node_span[a].first + node_span[a].second <
+                       node_span[b].first + node_span[b].second;
+              });
+    groups.push_back(std::move(order));
+    span = std::move(node_span);
+    total_entries += nodes;
+  }
+  tree.height_ = static_cast<int>(groups.size());
+
+  // Lay the nodes out breadth first from the root, as Open decodes them:
+  // queue[n] = (level, node within the level) of arena node n. Reserved so
+  // the planes never reallocate (and transiently double) while packing.
+  tree.lo_.reserve(total_entries * dim);
+  tree.hi_.reserve(total_entries * dim);
+  tree.values_.reserve(total_entries);
+  std::vector<std::pair<int, uint32_t>> queue = {{tree.height_ - 1, 0}};
+  for (size_t n = 0; n < queue.size(); ++n) {
+    const auto [level, j] = queue[n];
+    const std::vector<uint32_t>& members = groups[level];
+    const size_t begin = j * capacity;
+    const size_t end = std::min(members.size(), begin + capacity);
+    const Node node =
+        tree.AppendNode(level == 0, static_cast<int>(end - begin));
+    for (size_t m = begin; m < end; ++m) {
+      const int i = static_cast<int>(m - begin);
+      if (level == 0) {
+        const auto& [rect, payload] = entries[members[m]];
+        tree.SetEntry(node, i, rect.lo().data(), rect.hi().data(), payload);
+      } else {
+        tree.values_[node.entry + i] = queue.size();  // rect filled below
+        queue.emplace_back(level - 1, members[m]);
+      }
+    }
+  }
+  // Internal rects children first (the arena is in level order): each is
+  // the union of its child's entries, the invariant Validate checks.
+  std::vector<float> lo(dim);
+  std::vector<float> hi(dim);
+  for (size_t n = tree.nodes_.size(); n-- > 0;) {
+    const Node node = tree.nodes_[n];
+    if (node.is_leaf) continue;
+    for (int i = 0; i < node.count; ++i) {
+      const uint64_t child = tree.values_[node.entry + i];
+      tree.ChildBounds(child, lo.data(), hi.data());
+      tree.SetEntry(node, i, lo.data(), hi.data(), child);
+    }
+  }
+  return tree;
+}
+
+void DiskRStarTree::ChildBounds(uint64_t child_index, float* lo,
+                                float* hi) const {
+  const Node& child = nodes_[child_index];
+  for (int d = 0; d < dim_; ++d) {
+    const float* plo = lo_block(child) + static_cast<size_t>(d) * child.count;
+    const float* phi = hi_block(child) + static_cast<size_t>(d) * child.count;
+    lo[d] = *std::min_element(plo, plo + child.count);
+    hi[d] = *std::max_element(phi, phi + child.count);
+  }
+}
+
+Status DiskRStarTree::Save(const std::string& path) const {
+  WALRUS_ASSIGN_OR_RETURN(PageFile file, PageFile::Create(path, page_size_));
+  // Node n goes to page N - n: leaves first, the root last, so every child
+  // page id is known when its parent is written.
+  const uint64_t node_count = nodes_.size();
+  for (size_t n = nodes_.size(); n-- > 0;) {
+    const Node& node = nodes_[n];
+    BinaryWriter page;
+    page.PutU8(node.is_leaf ? 1 : 0);
+    page.PutU8(0);
+    page.PutU16(node.count);
+    page.PutU32(0);
+    for (int i = 0; i < node.count; ++i) {
+      for (const float* plane : {lo_block(node), hi_block(node)}) {
+        for (int d = 0; d < dim_; ++d) {
+          page.PutFloat(plane[static_cast<size_t>(d) * node.count + i]);
+        }
+      }
+      const uint64_t value = values_[node.entry + i];
+      page.PutU64(node.is_leaf ? value : node_count - value);
+    }
+    std::vector<uint8_t> bytes = page.buffer();
+    bytes.resize(page_size_);
+    WALRUS_ASSIGN_OR_RETURN(uint32_t page_id, file.AllocatePage());
+    WALRUS_DCHECK_EQ(page_id, node_count - n);
+    WALRUS_RETURN_IF_ERROR(file.WritePage(page_id, bytes));
+  }
+
+  // Metadata blob last (its head page = page_count - 1, like the catalog).
+  BinaryWriter meta;
+  meta.PutU32(kMetaMagic);
+  meta.PutU32(static_cast<uint32_t>(dim_));
+  meta.PutU64(static_cast<uint64_t>(size_));
+  meta.PutU32(static_cast<uint32_t>(height_));
+  meta.PutU32(static_cast<uint32_t>(node_count));  // the root's page, or 0
+  WALRUS_ASSIGN_OR_RETURN(BlobRef meta_ref, file.WriteBlob(meta.buffer()));
+  (void)meta_ref;
+  return file.Sync();
+}
+
+bool DiskRStarTree::SameArena(const DiskRStarTree& other) const {
+  const auto same_bits = [](float a, float b) {
+    return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+  };
+  return page_size_ == other.page_size_ && dim_ == other.dim_ &&
+         size_ == other.size_ && height_ == other.height_ &&
+         nodes_ == other.nodes_ && values_ == other.values_ &&
+         std::equal(lo_.begin(), lo_.end(), other.lo_.begin(),
+                    other.lo_.end(), same_bits) &&
+         std::equal(hi_.begin(), hi_.end(), other.hi_.begin(),
+                    other.hi_.end(), same_bits);
 }
 
 Result<DiskRStarTree> DiskRStarTree::Open(const std::string& path) {
@@ -310,6 +390,8 @@ Status DiskRStarTree::Load(PageFile* file, uint32_t root_page) {
     return Status::OK();
   };
   WALRUS_RETURN_IF_ERROR(push_page(root_page));
+  std::vector<float> lo(dim_);
+  std::vector<float> hi(dim_);
   int64_t leaf_entries = 0;
   int depth = 1;  // root is depth 1; leaves must sit at depth == height_
   size_t level_end = 1;
@@ -320,8 +402,7 @@ Status DiskRStarTree::Load(PageFile* file, uint32_t root_page) {
     }
     WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> page,
                             file->ReadPage(pages[n]));
-    Node node;
-    node.is_leaf = page[0] != 0;
+    const bool is_leaf = page[0] != 0;
     const int count = static_cast<int>(GetLeAt(page, 2, 2));
     if (count == 0 || count > capacity) {
       return Status::Corruption("disk rstar: page " + std::to_string(pages[n]) +
@@ -329,44 +410,35 @@ Status DiskRStarTree::Load(PageFile* file, uint32_t root_page) {
                                 " entries, capacity " +
                                 std::to_string(capacity));
     }
-    if (node.is_leaf != (depth == height_)) {
+    if (is_leaf != (depth == height_)) {
       return Status::Corruption(
-          "disk rstar: " + std::string(node.is_leaf ? "leaf" : "internal") +
+          "disk rstar: " + std::string(is_leaf ? "leaf" : "internal") +
           " node at depth " + std::to_string(depth) + ", tree height " +
           std::to_string(height_));
     }
     if (values_.size() + count > std::numeric_limits<uint32_t>::max()) {
       return Status::Corruption("disk rstar: too many entries");
     }
-    node.entry = static_cast<uint32_t>(values_.size());
-    node.count = static_cast<uint16_t>(count);
-    // Transpose the entry-major page into the node's dimension-major
-    // planes: bound d of entry i lands at plane d, slot i.
-    const size_t base = lo_.size();
-    lo_.resize(base + static_cast<size_t>(dim_) * count);
-    hi_.resize(base + static_cast<size_t>(dim_) * count);
+    const Node node = AppendNode(is_leaf, count);
     for (int i = 0; i < count; ++i) {
       const size_t at = kNodeHeaderBytes + i * entry_bytes;
       for (int d = 0; d < dim_; ++d) {
-        const float lo = GetF32At(page, at + 4 * d);
-        const float hi = GetF32At(page, at + 4 * (dim_ + d));
-        if (!(lo <= hi)) {
+        lo[d] = GetF32At(page, at + 4 * d);
+        hi[d] = GetF32At(page, at + 4 * (dim_ + d));
+        if (!(lo[d] <= hi[d])) {
           return Status::Corruption("disk rstar: inverted rect at page " +
                                     std::to_string(pages[n]));
         }
-        lo_[base + static_cast<size_t>(d) * count + i] = lo;
-        hi_[base + static_cast<size_t>(d) * count + i] = hi;
       }
-      const uint64_t value = GetLeAt(page, at + 8 * dim_, 8);
-      if (node.is_leaf) {
-        values_.push_back(value);
-      } else {
-        values_.push_back(pages.size());  // the child's node index
+      uint64_t value = GetLeAt(page, at + 8 * dim_, 8);
+      if (!is_leaf) {
+        const uint64_t child = pages.size();  // the child's node index
         WALRUS_RETURN_IF_ERROR(push_page(value));
+        value = child;
       }
+      SetEntry(node, i, lo.data(), hi.data(), value);
     }
-    if (node.is_leaf) leaf_entries += count;
-    nodes_.push_back(node);
+    if (is_leaf) leaf_entries += count;
   }
   if (leaf_entries != size_) {
     return Status::Corruption("disk rstar: leaf entry count " +
@@ -406,15 +478,7 @@ Status DiskRStarTree::Validate() const {
                                 std::to_string(child_index) +
                                 " breaks level order");
       }
-      const Node& child = nodes_[child_index];
-      const float* clo = lo_block(child);
-      const float* chi = hi_block(child);
-      for (int d = 0; d < dim_; ++d) {
-        const float* plo = clo + static_cast<size_t>(d) * child.count;
-        const float* phi = chi + static_cast<size_t>(d) * child.count;
-        lo[d] = *std::min_element(plo, plo + child.count);
-        hi[d] = *std::max_element(phi, phi + child.count);
-      }
+      ChildBounds(child_index, lo.data(), hi.data());
       for (int d = 0; d < dim_; ++d) {
         const size_t slot = static_cast<size_t>(d) * node.count + i;
         if (lo_block(node)[slot] != lo[d] || hi_block(node)[slot] != hi[d]) {
@@ -567,7 +631,15 @@ std::vector<std::pair<uint64_t, double>> DiskRStarTree::NearestNeighbors(
       double dist;
       bool is_entry;
       uint64_t value;  // payload (entry) or node index (node)
-      bool operator>(const Item& other) const { return dist > other.dist; }
+      /// Min-heap order of RStarTree::NearestNeighbors: distance first; at
+      /// equal distance nodes pop before entries (an unexpanded node may
+      /// still hold an equal-distance entry with a smaller payload), and
+      /// tied entries pop by payload.
+      bool operator>(const Item& other) const {
+        if (dist != other.dist) return dist > other.dist;
+        if (is_entry != other.is_entry) return is_entry;
+        return is_entry && value > other.value;
+      }
     };
     const simd::KernelTable& kern = simd::Active();
     std::vector<double> dists;

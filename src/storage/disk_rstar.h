@@ -14,22 +14,20 @@
 
 namespace walrus {
 
-/// Paged R-tree for query serving. The paper indexes region signatures in
-/// a "disk-based R*-tree" (section 5.3, via libGiST); on disk this tree is
-/// one node per PageFile page, STR-packed bottom-up like
-/// RStarTree::BulkLoad. It is immutable once built (WALRUS's index is
-/// build-once / query-many; mutations go through the in-memory RStarTree
-/// and a rebuild).
+/// The immutable R-tree of every bulk-loaded index (the paper's build-once
+/// / query-many "disk-based R*-tree", section 5.3): one resident arena,
+/// STR-packed bottom-up with a page-derived node capacity. Build fills the
+/// arena in memory; Save encodes it as one page per node and Open decodes
+/// those pages back into an equal arena. A mutated index moves to the
+/// dynamic RStarTree first (core/index.h).
 ///
 /// Open reads every node page exactly once -- PageFile::ReadPage checks
 /// each page's CRC-32 -- checks the structure (page ids in range and
 /// reached once, leaves exactly at height(), fill <= NodeCapacity(), no
 /// inverted rect, leaf entries summing to size()), decodes the pages into
-/// one resident arena and closes the file. A corrupt tree is therefore
-/// refused at open, never half-served. Queries run over the arena with no
-/// lock, no IO and no heap allocation per node or per hit. The arena costs
-/// about as many bytes as the tree's pages (DESIGN.md section 19), a
-/// fraction of the catalog a paged index already keeps resident.
+/// the arena and closes the file, so a corrupt tree is refused at open.
+/// Queries run over the arena with no lock, no IO and no heap allocation
+/// per node or per hit (DESIGN.md section 19).
 ///
 /// Arena layout: nodes_ in level order (root first). Node n's entries are
 /// entries [entry, entry + count) of the tree; their rects form two
@@ -39,16 +37,16 @@ namespace walrus {
 /// holds each entry's leaf payload or, for an internal entry, its child's
 /// 32-bit node index.
 ///
-/// IO counters: every node visit is a page read served from memory, so
+/// Counters: every node visit is a page read served from memory, so
 /// pages_read() counts node visits, cache_hits() == pages_read() and
 /// cache_misses() == 0. Each query also returns the nodes it visited, so
-/// per-query counts stay exact under concurrency; the tree-wide counter
-/// is a relaxed atomic for diagnostics.
+/// per-query counts stay exact under concurrency.
 ///
-/// Thread safety: immutable after Open, so any number of threads may query
+/// Thread safety: immutable once made, so any number of threads may query
 /// concurrently. A moved-from tree must no longer be used.
 ///
-/// Page layout (little endian):
+/// Page file: node n of N at page N - n (leaves first, root last), then a
+/// metadata blob. Node page layout (little endian):
 ///   u8  is_leaf, u8 reserved, u16 entry_count, u32 reserved
 ///   then entry_count entries of:
 ///     dim f32 lo, dim f32 hi, u64 payload_or_child_page
@@ -59,15 +57,23 @@ class DiskRStarTree {
   DiskRStarTree(DiskRStarTree&&) noexcept = default;
   DiskRStarTree& operator=(DiskRStarTree&&) noexcept = default;
 
-  /// STR-packs `entries` into a new page file at `path`, then opens it.
+  /// STR-packs `entries` into an arena with `page_size`-page nodes.
+  /// InvalidArgument for dim < 1, a page too small for two entries, or an
+  /// entry rect of another dimension, empty, or with an inverted bound.
   static Result<DiskRStarTree> Build(
-      const std::string& path, int dim,
-      std::vector<std::pair<Rect, uint64_t>> entries,
+      int dim, std::vector<std::pair<Rect, uint64_t>> entries,
       uint32_t page_size = PageFile::kDefaultPageSize);
 
-  /// Loads a tree written by Build into memory (see the class comment);
-  /// Corruption when any page fails its checksum or the structure checks.
+  /// Encodes the arena into a new page file at `path`.
+  Status Save(const std::string& path) const;
+
+  /// Decodes a tree written by Save into an equal arena; Corruption when
+  /// any page fails its checksum or the structure checks.
   static Result<DiskRStarTree> Open(const std::string& path);
+
+  /// True when both arenas are equal bit for bit: shape, node table,
+  /// planes and values.
+  bool SameArena(const DiskRStarTree& other) const;
 
   int dim() const { return dim_; }
   int64_t size() const { return size_; }
@@ -98,7 +104,9 @@ class DiskRStarTree {
       const std::vector<Rect>& probes,
       const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
 
-  /// Best-first k nearest entries to `point` (ascending distance).
+  /// Best-first k nearest entries to `point` (ascending distance), ties
+  /// broken as RStarTree::NearestNeighbors breaks them, so the answer
+  /// depends on the entry set alone.
   /// `nodes_visited`, when non-null, receives the nodes this call visited.
   std::vector<std::pair<uint64_t, double>> NearestNeighbors(
       const std::vector<float>& point, int k,
@@ -110,13 +118,13 @@ class DiskRStarTree {
   /// size() and height(). O(tree size); no IO.
   Status Validate() const;
 
-  /// Node visits by queries since opening (each is a resident page read).
+  /// Node visits by queries since the tree was made.
   int64_t pages_read() const {
     return pages_read_->load(std::memory_order_relaxed);
   }
   /// Page reads served from memory: all of them.
   int64_t cache_hits() const { return pages_read(); }
-  /// Page reads that went to the file: none after Open.
+  /// Page reads that went to the file: none, the tree is resident.
   int64_t cache_misses() const { return 0; }
 
  private:
@@ -124,6 +132,7 @@ class DiskRStarTree {
     uint32_t entry = 0;  // first entry; rect blocks start at entry * dim
     uint16_t count = 0;
     bool is_leaf = false;
+    bool operator==(const Node&) const = default;
   };
 
   DiskRStarTree() = default;
@@ -131,6 +140,15 @@ class DiskRStarTree {
   /// Decodes the tree rooted at `root_page` breadth first into the arena,
   /// running the structure checks listed in the class comment.
   Status Load(PageFile* file, uint32_t root_page);
+
+  /// Appends a node of `count` zeroed entries for SetEntry to fill (the
+  /// one layout path of Build and Load).
+  Node AppendNode(bool is_leaf, int count);
+  /// Stores entry i of `node`: bounds lo/hi[0, dim) and its value.
+  void SetEntry(const Node& node, int i, const float* lo, const float* hi,
+                uint64_t value);
+  /// The union of node `child_index`'s entry rects, into lo/hi[0, dim).
+  void ChildBounds(uint64_t child_index, float* lo, float* hi) const;
 
   /// The shared batch traversal behind RangeSearchVisit/RangeQueryBatch.
   int64_t Traverse(

@@ -37,13 +37,14 @@ PageFile& PageFile::operator=(PageFile&& other) noexcept {
     path_ = std::move(other.path_);
     page_size_ = other.page_size_;
     page_count_ = other.page_count_;
+    writable_ = other.writable_;
     other.file_ = nullptr;
   }
   return *this;
 }
 
 PageFile::~PageFile() {
-  if (file_ != nullptr) {
+  if (file_ != nullptr && writable_) {
     // Destructors cannot propagate; a failed header flush here means the
     // file is already unusable, so record it and close anyway.
     Status flushed = WriteHeader();
@@ -51,8 +52,8 @@ PageFile::~PageFile() {
       WALRUS_LOG(Warning) << "page file header flush failed on close: "
                           << flushed;
     }
-    std::fclose(file_);
   }
+  if (file_ != nullptr) std::fclose(file_);
 }
 
 Result<PageFile> PageFile::Create(const std::string& path,
@@ -67,12 +68,13 @@ Result<PageFile> PageFile::Create(const std::string& path,
   pf.path_ = path;
   pf.page_size_ = page_size;
   pf.page_count_ = 1;
+  pf.writable_ = true;
   WALRUS_RETURN_IF_ERROR(pf.WriteHeader());
   return pf;
 }
 
 Result<PageFile> PageFile::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("cannot open page file: " + path);
   uint8_t header[12];
   if (std::fread(header, 1, sizeof(header), f) != sizeof(header)) {
@@ -134,6 +136,9 @@ Status PageFile::WriteHeader() {
 }
 
 Status PageFile::WritePageInternal(uint32_t id, std::vector<uint8_t> data) {
+  if (!writable_) {
+    return Status::InvalidArgument("page file opened read-only: " + path_);
+  }
   WALRUS_DCHECK_EQ(data.size(), page_size_);
   size_t body = data.size() - kChecksumBytes;
   PutU32At(&data, body, Crc32(data.data(), body));
@@ -237,6 +242,7 @@ Result<std::vector<uint8_t>> PageFile::ReadBlob(const BlobRef& ref) {
 }
 
 Status PageFile::Sync() {
+  if (!writable_) return Status::OK();
   WALRUS_RETURN_IF_ERROR(WriteHeader());
   if (std::fflush(file_) != 0) return Status::IOError("fflush failed");
   return Status::OK();

@@ -28,7 +28,8 @@ struct BlobRef {
 /// write and verified on every read, so media or software corruption
 /// surfaces as Status::Corruption instead of silently wrong data. There is
 /// no read cache: the catalog and the paged R-tree each read every page
-/// once, at open, into their own resident form.
+/// once, at open, into their own resident form. Only a file Create made is
+/// written: Open is read-only, and writes through it fail.
 class PageFile {
  public:
   static constexpr uint32_t kDefaultPageSize = 4096;
@@ -45,7 +46,7 @@ class PageFile {
   static Result<PageFile> Create(const std::string& path,
                                  uint32_t page_size = kDefaultPageSize);
 
-  /// Opens an existing page file and validates its header.
+  /// Opens an existing page file read-only and validates its header.
   static Result<PageFile> Open(const std::string& path);
 
   uint32_t page_size() const { return page_size_; }
@@ -95,7 +96,7 @@ class PageFile {
   std::string path_;
   uint32_t page_size_ = kDefaultPageSize;
   uint32_t page_count_ = 1;  // header page
-
+  bool writable_ = false;  // made by Create
 };
 
 }  // namespace walrus

@@ -497,6 +497,13 @@ Status LiveIndex::Merge() {
   WALRUS_RETURN_IF_ERROR(new_base.Save(BasePrefix(dir_, new_generation),
                                        options_.paged_base));
   WALRUS_RETURN_IF_ERROR(SyncBaseFiles(dir_, BaseFilePrefix(new_generation)));
+  // Serve the generation just saved, loaded the way Open loads it (paged
+  // shards decode their page trees), not the partition built to save it.
+  ShardedIndex::Options base_options;  // base carries no result cache
+  base_options.num_shards = num_shards;
+  WALRUS_ASSIGN_OR_RETURN(
+      ShardedIndex saved_base,
+      ShardedIndex::Open(BasePrefix(dir_, new_generation), base_options));
 
   // Commit point: the renamed MANIFEST names the new generation. A crash
   // before this line replays the full WAL into the old base; after it,
@@ -510,7 +517,7 @@ Status LiveIndex::Merge() {
 
   {
     WriterMutexLock lock(state_mu_);
-    base_ = std::make_unique<ShardedIndex>(std::move(new_base));
+    base_ = std::make_unique<ShardedIndex>(std::move(saved_base));
     delta_ = std::make_unique<WalrusIndex>(params_);
     tombstones_.clear();
     tombstoned_regions_ = 0;
@@ -835,6 +842,14 @@ bool LiveIndex::ContainsImage(uint64_t image_id) const {
   int shard = ShardedIndex::ShardOf(image_id, base_->num_shards());
   return base_->shard(shard).catalog().FindImage(image_id) != nullptr &&
          tombstones_.count(image_id) == 0;
+}
+
+bool LiveIndex::BaseIsPaged() const {
+  ReaderMutexLock lock(state_mu_);
+  for (int s = 0; s < base_->num_shards(); ++s) {
+    if (!base_->shard(s).is_paged()) return false;
+  }
+  return true;
 }
 
 }  // namespace walrus

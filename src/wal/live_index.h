@@ -122,6 +122,10 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   /// the recovered image set without mutating it.
   bool ContainsImage(uint64_t image_id) const WALRUS_EXCLUDES(state_mu_);
 
+  /// True when every base shard serves probes from its decoded page tree
+  /// (Options::paged_base), after Open and after every Merge alike.
+  bool BaseIsPaged() const WALRUS_EXCLUDES(state_mu_);
+
   const std::string& dir() const { return dir_; }
   const WalrusParams& params() const { return params_; }
   const ResultCache* result_cache() const { return cache_.get(); }

@@ -96,8 +96,13 @@ TEST(WalrusIndex, SaveOpenRoundTrip) {
   Result<WalrusIndex> opened = WalrusIndex::Open(prefix);
   ASSERT_TRUE(opened.ok()) << opened.status();
   EXPECT_EQ(opened->ImageCount(), 2u);
-  EXPECT_EQ(opened->tree().size(),
+  // Open STR-builds the arena tree from the catalog.
+  ASSERT_NE(opened->disk_tree(), nullptr);
+  EXPECT_FALSE(opened->is_paged());
+  EXPECT_EQ(opened->disk_tree()->size(),
             static_cast<int64_t>(opened->RegionCount()));
+  EXPECT_EQ(opened->tree().size(), 0);
+  EXPECT_TRUE(opened->ValidateConsistency().ok());
   EXPECT_EQ(opened->params().min_window, 16);
   // Regions still retrievable and identical in shape.
   Result<std::vector<Region>> regions = opened->ImageRegions(1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "core/index.h"
 #include "core/query.h"
 #include "image/dataset.h"
@@ -126,6 +127,67 @@ TEST_F(PagedIndexTest, BBoxSignatureModeRoundTrips) {
     EXPECT_EQ((*memory)[i].image_id, (*disk)[i].image_id);
   }
   RemovePagedFiles(prefix);
+}
+
+// An opened index -- in-memory or paged -- takes mutations under the
+// hand-off rule: the first one moves it onto the dynamic tree, in memory,
+// and the files it was opened from never change.
+TEST_F(PagedIndexTest, MutatingAnOpenedIndexRunsInMemory) {
+  const std::string prefix = ::testing::TempDir() + "/walrus_paged_mutate";
+  ASSERT_TRUE(index_->Save(prefix).ok());
+  ASSERT_TRUE(index_->SavePaged(prefix).ok());
+  const std::vector<std::string> files = {prefix + ".catalog",
+                                          prefix + ".index", prefix + ".pmeta",
+                                          prefix + ".ptree"};
+  std::vector<std::vector<uint8_t>> bytes;
+  for (const std::string& file : files) {
+    bytes.push_back(ReadFileBytes(file).value());
+  }
+
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "OpenPaged" : "Open");
+    Result<WalrusIndex> opened =
+        paged ? WalrusIndex::OpenPaged(prefix) : WalrusIndex::Open(prefix);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    EXPECT_EQ(opened->is_paged(), paged);
+    ASSERT_NE(opened->disk_tree(), nullptr);
+
+    ASSERT_TRUE(opened->AddImage(100, "copy", dataset_[5].image).ok());
+    EXPECT_FALSE(opened->is_paged());
+    EXPECT_EQ(opened->disk_tree(), nullptr);
+    ASSERT_TRUE(opened->RemoveImage(3).ok());
+    EXPECT_EQ(opened->ImageCount(), dataset_.size());
+    EXPECT_EQ(opened->tree().size(),
+              static_cast<int64_t>(opened->RegionCount()));
+    Status valid = opened->ValidateConsistency();
+    EXPECT_TRUE(valid.ok()) << valid;
+
+    Result<WalrusIndex> rebuilt =
+        WalrusIndex::FromRecords(TestParams(), opened->catalog().images());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    QueryOptions range;
+    range.epsilon = 0.085f;
+    QueryOptions knn;
+    knn.knn_per_region = 3;
+    for (const QueryOptions& options : {range, knn}) {
+      for (int id : {0, 3, 5, 11}) {
+        auto want = ExecuteQuery(*rebuilt, dataset_[id].image, options);
+        auto got = ExecuteQuery(*opened, dataset_[id].image, options);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ASSERT_EQ(want->size(), got->size()) << id;
+        for (size_t i = 0; i < want->size(); ++i) {
+          EXPECT_EQ((*want)[i].image_id, (*got)[i].image_id) << id;
+          EXPECT_EQ((*want)[i].similarity, (*got)[i].similarity) << id;
+          EXPECT_EQ((*want)[i].matching_pairs, (*got)[i].matching_pairs)
+              << id;
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(ReadFileBytes(files[i]).value(), bytes[i]) << files[i];
+    std::remove(files[i].c_str());
+  }
 }
 
 }  // namespace

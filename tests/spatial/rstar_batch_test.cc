@@ -170,11 +170,9 @@ TEST(RStarBatch, NodesVisitedIsDeduplicated) {
 
 TEST(DiskRStarBatch, BatchMatchesSingleProbes) {
   const int dim = 4;
-  const std::string path =
-      ::testing::TempDir() + "/disk_rstar_batch_test.db";
   std::vector<std::pair<Rect, uint64_t>> entries =
       RandomEntries(1200, dim, 1234);
-  auto tree = DiskRStarTree::Build(path, dim, entries);
+  auto tree = DiskRStarTree::Build(dim, entries);
   ASSERT_TRUE(tree.ok()) << tree.status();
 
   std::vector<Rect> probes = RandomProbes(20, dim, 1235);
@@ -198,7 +196,6 @@ TEST(DiskRStarBatch, BatchMatchesSingleProbes) {
         << "isa=" << simd::IsaName(static_cast<simd::IsaLevel>(l));
   }
   simd::TestOnlyResetIsa();
-  std::remove(path.c_str());
 }
 
 // TSan target: concurrent batched probes share the tree but no traversal

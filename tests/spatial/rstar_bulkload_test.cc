@@ -214,16 +214,5 @@ TEST(RStarBulkLoad, SupportsSubsequentInsertAndDelete) {
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate();
 }
 
-TEST(RStarBulkLoad, SerializationRoundTrip) {
-  RStarTree tree = RStarTree::BulkLoad(3, RandomEntries(800, 3, 9));
-  BinaryWriter writer;
-  tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  auto restored = RStarTree::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->size(), 800);
-  EXPECT_TRUE(restored->Validate().ok());
-}
-
 }  // namespace
 }  // namespace walrus

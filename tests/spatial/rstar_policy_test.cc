@@ -68,26 +68,6 @@ TEST(RStarPolicy, QuadraticSupportsDeletes) {
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate();
 }
 
-TEST(RStarPolicy, PolicySurvivesSerialization) {
-  Rng rng(23);
-  RStarTree tree(2, QuadraticParams());
-  for (int i = 0; i < 100; ++i) {
-    tree.Insert(RandomPointRect(&rng, 2), static_cast<uint64_t>(i));
-  }
-  BinaryWriter writer;
-  tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  auto restored = RStarTree::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // Inserts after reload keep working under the restored policy.
-  for (int i = 100; i < 400; ++i) {
-    restored->Insert(RandomPointRect(&rng, 2), static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(restored->size(), 400);
-  EXPECT_TRUE(restored->Validate().ok())
-      << restored->Validate();
-}
-
 TEST(RStarPolicy, RStarProbesNoMoreNodesThanQuadratic) {
   // The R* split + forced reinsert should yield equal-or-tighter trees:
   // compare nodes visited on identical range probes (clustered data where

@@ -154,60 +154,6 @@ TEST(RStarTree, VisitorEarlyStop) {
   EXPECT_EQ(visited, 7);
 }
 
-TEST(RStarTree, SerializeDeserializeRoundTrip) {
-  Rng rng(9);
-  RStarParams params;
-  params.max_entries = 8;
-  RStarTree tree(3, params);
-  std::vector<Rect> rects;
-  for (int i = 0; i < 300; ++i) {
-    Rect r = RandomBoxRect(&rng, 3, 0.05f);
-    rects.push_back(r);
-    tree.Insert(r, static_cast<uint64_t>(i * 7));
-  }
-  BinaryWriter writer;
-  tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  Result<RStarTree> restored = RStarTree::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->size(), tree.size());
-  EXPECT_EQ(restored->dim(), 3);
-  EXPECT_TRUE(restored->Validate().ok())
-      << restored->Validate();
-
-  for (int trial = 0; trial < 10; ++trial) {
-    Rect query = RandomBoxRect(&rng, 3, 0.3f);
-    std::vector<uint64_t> a = tree.RangeSearch(query);
-    std::vector<uint64_t> b = restored->RangeSearch(query);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-  }
-}
-
-TEST(RStarTree, DeserializeRejectsGarbage) {
-  std::vector<uint8_t> garbage = {1, 2, 3, 4, 5, 6, 7, 8};
-  BinaryReader reader(garbage);
-  EXPECT_FALSE(RStarTree::Deserialize(&reader).ok());
-}
-
-TEST(RStarTree, InsertionsAfterDeserialize) {
-  Rng rng(11);
-  RStarTree tree(2);
-  for (int i = 0; i < 100; ++i) {
-    tree.Insert(RandomPointRect(&rng, 2), static_cast<uint64_t>(i));
-  }
-  BinaryWriter writer;
-  tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  RStarTree restored = std::move(RStarTree::Deserialize(&reader)).value();
-  for (int i = 100; i < 200; ++i) {
-    restored.Insert(RandomPointRect(&rng, 2), static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(restored.size(), 200);
-  EXPECT_TRUE(restored.Validate().ok()) << restored.Validate();
-}
-
 TEST(RStarTree, SmallNodeCapacityStressed) {
   Rng rng(13);
   RStarParams params;

@@ -1,9 +1,11 @@
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "common/serialize.h"
 #include "storage/disk_rstar.h"
@@ -102,11 +104,12 @@ void BuildGridTree(const std::string& path) {
     entries.emplace_back(Rect::Point({x, y}), static_cast<uint64_t>(i));
   }
   Result<DiskRStarTree> built =
-      DiskRStarTree::Build(path, 2, entries, /*page_size=*/256);
+      DiskRStarTree::Build(2, entries, /*page_size=*/256);
   ASSERT_TRUE(built.ok()) << built.status();
   ASSERT_EQ(built->height(), 3);
   ASSERT_EQ(built->NodeCapacity(), 10);
   EXPECT_TRUE(built->Validate().ok());
+  ASSERT_TRUE(built->Save(path).ok());
 }
 
 constexpr uint32_t kGridRootPage = 56;
@@ -115,17 +118,25 @@ constexpr uint32_t kGridFirstLeafPage = 1;
 /// is_leaf, u8, u16 count, u32; then entries of lo[2], hi[2], u64 value).
 size_t EntryAt(int i) { return 8 + static_cast<size_t>(i) * 24; }
 
-/// Rewrites node page `id` through the page file, so its CRC stays valid
-/// and only the structure checks can catch the edit.
+/// Rewrites the bytes of node page `id` of the 256-byte-page grid tree in
+/// place and re-stamps its CRC-32 trailer, so the checksum stays valid and
+/// only the structure checks can catch the edit.
 void EditPage(const std::string& path, uint32_t id,
               const std::function<void(std::vector<uint8_t>*)>& edit) {
-  Result<PageFile> pf = PageFile::Open(path);
-  ASSERT_TRUE(pf.ok()) << pf.status();
-  Result<std::vector<uint8_t>> page = pf->ReadPage(id);
-  ASSERT_TRUE(page.ok()) << page.status();
-  edit(&*page);
-  ASSERT_TRUE(pf->WritePage(id, *page).ok());
-  ASSERT_TRUE(pf->Sync().ok());
+  constexpr size_t kPage = 256;
+  Result<std::vector<uint8_t>> file = ReadFileBytes(path);
+  ASSERT_TRUE(file.ok()) << file.status();
+  ASSERT_LE((id + 1) * kPage, file->size());
+  std::vector<uint8_t> page(file->begin() + id * kPage,
+                            file->begin() + (id + 1) * kPage);
+  edit(&page);
+  const size_t body = kPage - PageFile::kChecksumBytes;
+  const uint32_t crc = Crc32(page.data(), body);
+  for (size_t i = 0; i < PageFile::kChecksumBytes; ++i) {
+    page[body + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  std::copy(page.begin(), page.end(), file->begin() + id * kPage);
+  ASSERT_TRUE(WriteFileBytes(path, *file).ok());
 }
 
 void PutU64(std::vector<uint8_t>* page, size_t at, uint64_t v) {
@@ -274,9 +285,13 @@ TEST(DiskRStarOpen, ByteFlipOnEveryPageFailsCleanly) {
 
 TEST(DiskRStarValidate, EmptyTreeValidates) {
   std::string path = TempPath("drst_empty.db");
-  Result<DiskRStarTree> built = DiskRStarTree::Build(path, 2, {}, 256);
+  Result<DiskRStarTree> built = DiskRStarTree::Build(2, {}, 256);
   ASSERT_TRUE(built.ok()) << built.status();
   EXPECT_TRUE(built->Validate().ok());
+  ASSERT_TRUE(built->Save(path).ok());
+  Result<DiskRStarTree> opened = DiskRStarTree::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_TRUE(opened->Validate().ok());
   std::remove(path.c_str());
 }
 

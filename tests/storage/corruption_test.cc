@@ -9,7 +9,6 @@
 #include "common/serialize.h"
 #include "core/index.h"
 #include "image/synth.h"
-#include "spatial/rstar_tree.h"
 #include "storage/catalog.h"
 #include "storage/page_file.h"
 
@@ -100,70 +99,47 @@ TEST(Corruption, CatalogRandomByteFlipsNeverCrash) {
   std::remove(path.c_str());
 }
 
-TEST(Corruption, RStarRandomBufferNeverCrashes) {
-  Rng rng(6);
-  RStarTree tree(4);
-  for (int i = 0; i < 200; ++i) {
-    std::vector<float> p = {rng.NextFloat(), rng.NextFloat(), rng.NextFloat(),
-                            rng.NextFloat()};
-    tree.Insert(Rect::Point(p), static_cast<uint64_t>(i));
-  }
-  BinaryWriter writer;
-  tree.Serialize(&writer);
-  std::vector<uint8_t> valid = writer.buffer();
-
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<uint8_t> mutated = valid;
-    size_t pos = rng.NextBounded(static_cast<uint32_t>(mutated.size()));
-    mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-    BinaryReader reader(mutated);
-    Result<RStarTree> restored = RStarTree::Deserialize(&reader);
-    if (restored.ok()) {
-      // If it deserialized despite the flip, basic queries must not crash.
-      (void)restored->RangeSearch(
-          Rect::Bounds({0, 0, 0, 0}, {1, 1, 1, 1}));
-    }
-  }
+/// Saves a one-image index at `prefix` in both layouts (.catalog, .index,
+/// .pmeta, .ptree); `gray` gives 4-d signatures instead of 12-d.
+void SaveTinyIndex(const std::string& prefix, bool gray) {
+  WalrusParams params;
+  params.min_window = 16;
+  params.max_window = 16;
+  params.slide_step = 8;
+  if (gray) params.color_space = ColorSpace::kGray;
+  WalrusIndex index(params);
+  ASSERT_TRUE(
+      index.AddImage(1, "x", MakeSolid(32, 32, {0.5f, 0.5f, 0.5f})).ok());
+  ASSERT_TRUE(index.SavePaged(prefix).ok());
+  ASSERT_TRUE(index.Save(prefix).ok());
 }
 
 TEST(Corruption, IndexOpenWithMismatchedFilesFails) {
-  // Save two indexes with different dimensionality and cross their files.
+  // Two indexes whose params differ in signature dimension; splice each
+  // one's catalog under the other's params. Every open must refuse the
+  // pair before it builds or decodes a tree.
   std::string a = TempPath("corrupt_index_a");
   std::string b = TempPath("corrupt_index_b");
-  {
-    WalrusParams pa;
-    pa.min_window = 16;
-    pa.max_window = 16;
-    pa.slide_step = 8;
-    WalrusIndex ia(pa);
-    ASSERT_TRUE(ia.AddImage(1, "x", MakeSolid(32, 32, {0.5f, 0.5f, 0.5f}))
-                    .ok());
-    ASSERT_TRUE(ia.Save(a).ok());
-    WalrusParams pb = pa;
-    pb.color_space = ColorSpace::kGray;  // 4-dim signatures instead of 12
-    WalrusIndex ib(pb);
-    ASSERT_TRUE(ib.AddImage(1, "x", MakeSolid(32, 32, {0.5f, 0.5f, 0.5f}))
-                    .ok());
-    ASSERT_TRUE(ib.Save(b).ok());
-  }
-  // a's params+tree with b's catalog still opens (catalog has no dim), but
-  // a's .index is internally consistent; splice b's tree bytes into a's
-  // params by concatenating mismatched files instead:
-  Result<std::vector<uint8_t>> a_index = ReadFileBytes(a + ".index");
-  Result<std::vector<uint8_t>> b_index = ReadFileBytes(b + ".index");
-  ASSERT_TRUE(a_index.ok() && b_index.ok());
-  // Take a's params header (ends before the tree magic) and b's tree.
-  // Simpler deterministic corruption: overwrite a's index with b's and
-  // verify the dimension check fires on params/tree mismatch... they're
-  // self-consistent, so instead truncate a's index mid-tree:
-  std::vector<uint8_t> truncated(*a_index);
-  truncated.resize(truncated.size() / 2);
-  ASSERT_TRUE(WriteFileBytes(a + ".index", truncated).ok());
-  EXPECT_FALSE(WalrusIndex::Open(a).ok());
-
+  SaveTinyIndex(a, /*gray=*/false);
+  SaveTinyIndex(b, /*gray=*/true);
+  Result<std::vector<uint8_t>> a_catalog = ReadFileBytes(a + ".catalog");
+  Result<std::vector<uint8_t>> b_catalog = ReadFileBytes(b + ".catalog");
+  ASSERT_TRUE(a_catalog.ok() && b_catalog.ok());
+  ASSERT_TRUE(WriteFileBytes(a + ".catalog", *b_catalog).ok());
+  ASSERT_TRUE(WriteFileBytes(b + ".catalog", *a_catalog).ok());
   for (const std::string& prefix : {a, b}) {
-    std::remove((prefix + ".catalog").c_str());
-    std::remove((prefix + ".index").c_str());
+    for (bool paged : {false, true}) {
+      Result<WalrusIndex> opened =
+          paged ? WalrusIndex::OpenPaged(prefix) : WalrusIndex::Open(prefix);
+      ASSERT_FALSE(opened.ok()) << prefix << " paged=" << paged;
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+          << opened.status();
+    }
+  }
+  for (const std::string& prefix : {a, b}) {
+    for (const char* suffix : {".catalog", ".index", ".pmeta", ".ptree"}) {
+      std::remove((prefix + suffix).c_str());
+    }
   }
 }
 

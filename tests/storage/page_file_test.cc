@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/serialize.h"
 
 namespace walrus {
 namespace {
@@ -25,6 +26,32 @@ TEST(PageFile, CreateAndReopenHeader) {
   Result<PageFile> reopened = PageFile::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->page_size(), 256u);
+  std::remove(path.c_str());
+}
+
+// Open is read-only: writes through an opened file fail, and opening and
+// closing leaves the file's bytes as they were.
+TEST(PageFile, OpenedFileIsReadOnly) {
+  std::string path = TempPath("pf_read_only.db");
+  {
+    Result<PageFile> pf = PageFile::Create(path, 128);
+    ASSERT_TRUE(pf.ok()) << pf.status();
+    ASSERT_TRUE(pf->WriteBlob({1, 2, 3}).ok());
+  }
+  Result<std::vector<uint8_t>> before = ReadFileBytes(path);
+  ASSERT_TRUE(before.ok());
+  {
+    Result<PageFile> pf = PageFile::Open(path);
+    ASSERT_TRUE(pf.ok()) << pf.status();
+    EXPECT_EQ(pf->WritePage(1, std::vector<uint8_t>(128, 7)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(pf->AllocatePage().ok());
+    EXPECT_FALSE(pf->WriteBlob({4}).ok());
+    EXPECT_EQ(pf->page_count(), 2u);
+    EXPECT_TRUE(pf->Sync().ok());
+    EXPECT_TRUE(pf->ValidateChecksums().ok());
+  }
+  EXPECT_EQ(ReadFileBytes(path).value(), *before);
   std::remove(path.c_str());
 }
 

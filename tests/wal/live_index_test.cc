@@ -293,6 +293,57 @@ TEST_F(LiveIndexTest, MergeFoldsDeltaAndSurvivesReopen) {
                        "post-merge reopen + insert");
 }
 
+// A merge installs the generation it saved, loaded the way Open loads it:
+// with paged_base every base shard then serves from its decoded page tree
+// (the query stats count page reads), and rankings equal both an offline
+// rebuild and a reopen.
+TEST_F(LiveIndexTest, MergeInstallsThePagedGenerationItSaved) {
+  std::string dir = FreshDir("live_merge_paged");
+  std::unique_ptr<WalrusIndex> seed = BuildOffline({0, 1, 2, 3, 4});
+  LiveIndex::Options options;
+  options.num_shards = 2;
+  options.merge_threshold = 0;
+  options.paged_base = true;
+  auto live = LiveIndex::Open(dir, TestParams(), options, seed.get());
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_TRUE((*live)->BaseIsPaged());
+  ASSERT_TRUE((*live)->InsertImage(10, "img", dataset_[10].image).ok());
+  ASSERT_TRUE((*live)->DeleteImage(3).ok());
+  ASSERT_TRUE((*live)->Merge().ok());
+  EXPECT_EQ((*live)->generation(), 2u);
+  EXPECT_TRUE((*live)->BaseIsPaged());
+
+  QueryOptions q;
+  q.epsilon = 0.09f;
+  QueryStats stats;
+  ASSERT_TRUE((*live)->RunQuery(dataset_[0].image, q, &stats).ok());
+  EXPECT_GT(stats.pages_read, 0);
+  EXPECT_EQ(stats.nodes_visited, 0);  // the delta is empty after a merge
+
+  const std::vector<int> ids = {0, 1, 2, 4, 10};
+  QueryOptions knn;
+  knn.knn_per_region = 4;
+  ExpectMatchesOffline(**live, ids, q, "after paged merge");
+  ExpectMatchesOffline(**live, ids, knn, "knn after paged merge");
+  std::vector<std::vector<QueryMatch>> before;
+  for (size_t i = 0; i < dataset_.size(); i += 3) {
+    auto answer = (*live)->RunQuery(dataset_[i].image, q);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    before.push_back(*answer);
+  }
+
+  live->reset();
+  auto reopened = LiveIndex::Open(dir, TestParams(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE((*reopened)->BaseIsPaged());
+  for (size_t i = 0, n = 0; i < dataset_.size(); i += 3, ++n) {
+    auto answer = (*reopened)->RunQuery(dataset_[i].image, q);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    ExpectIdenticalRankings(before[n], *answer,
+                            "reopen query " + std::to_string(i));
+  }
+}
+
 TEST_F(LiveIndexTest, BackgroundMergeTriggersAtThreshold) {
   std::string dir = FreshDir("live_auto_merge");
   LiveIndex::Options options;
